@@ -28,6 +28,8 @@ import hashlib
 import struct
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     BadKindError,
     BadMagicError,
@@ -108,13 +110,13 @@ def _read_header(r: _Reader, expected_kind: int) -> int:
 
 def encode_polynomial(p) -> bytes:
     """Pack 512 coefficients at 22 bits each: 1408 bytes, bijective."""
-    c = p.coeffs
-    out = bytearray()
-    # 4 coefficients fill exactly 11 bytes (lcm of 22 and 8 is 88 bits)
-    for i in range(0, N, 4):
-        v = c[i] | (c[i + 1] << 22) | (c[i + 2] << 44) | (c[i + 3] << 66)
-        out += v.to_bytes(11, "little")
-    return bytes(out)
+    # 4 coefficients fill exactly 11 bytes (lcm of 22 and 8 is 88 bits); each
+    # group is built as two little-endian u64 words (88 of 128 bits used)
+    c = np.array(p.coeffs, dtype=np.uint64).reshape(-1, 4)
+    words = np.empty((c.shape[0], 2), dtype="<u8")
+    words[:, 0] = c[:, 0] | (c[:, 1] << 22) | (c[:, 2] << 44)
+    words[:, 1] = (c[:, 2] >> 20) | (c[:, 3] << 2)
+    return words.view(np.uint8).reshape(-1, 16)[:, :11].tobytes()
 
 
 def decode_polynomial(data: bytes):
@@ -124,15 +126,20 @@ def decode_polynomial(data: bytes):
         raise TruncatedDataError(
             f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}"
         )
-    coeffs = []
-    for i in range(0, POLYNOMIAL_BYTES, 11):
-        v = int.from_bytes(data[i:i + 11], "little")
-        for k in range(4):
-            c = (v >> (22 * k)) & _MASK22
-            if c >= Q:
-                raise FieldError(f"coefficient {c} out of range [0, {Q})")
-            coeffs.append(c)
-    return Polynomial(coeffs=tuple(coeffs))
+    groups = np.zeros((POLYNOMIAL_BYTES // 11, 16), dtype=np.uint8)
+    groups[:, :11] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 11)
+    words = groups.view("<u8")
+    lo, hi = words[:, 0], words[:, 1]
+    c = np.empty((len(words), 4), dtype=np.uint64)
+    c[:, 0] = lo
+    c[:, 1] = lo >> 22
+    c[:, 2] = (lo >> 44) | (hi << 20)
+    c[:, 3] = hi >> 2
+    c = c.reshape(-1) & _MASK22
+    bad = np.flatnonzero(c >= Q)
+    if bad.size:
+        raise FieldError(f"coefficient {int(c[bad[0]])} out of range [0, {Q})")
+    return Polynomial(coeffs=tuple(c.tolist()))
 
 
 @lru_cache(maxsize=512)

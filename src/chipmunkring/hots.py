@@ -6,6 +6,11 @@ polynomial sigma = s0*H(M) + s1. Verification checks the forced linear
 identity A*sigma == v0*H(M) + v1 together with a norm bound on sigma
 (without the bound, the identity alone is satisfiable by linear algebra).
 
+The check is split in two so that a verifier holding many candidate keys,
+as a ring verifier does, can test the norm once per signature
+(norm_within_bound) and then only the identity per key (identity_holds);
+verify_detail runs both in that order for a single key.
+
 Signatures add coordinate-wise across additive key shares, which is what
 the threshold layer builds on. Key reuse leaks information about (s0, s1);
 tracking one-time use is the caller's responsibility. In the ring protocol
@@ -84,22 +89,31 @@ def sign(sk: PrivateKey, message: bytes, params: RingParams) -> ChipmunkSignatur
     return ChipmunkSignature(sigma=sigma)
 
 
-def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
-                  params: RingParams) -> str:
-    """Check a signature; returns 'ok', 'norm', or 'identity'.
-
-    The identity A*sigma == v0*H(M) + v1 is compared pointwise in the
-    transform domain: the NTT is a bijection, so this is the same predicate
-    without the inverse transforms.
-    """
+def norm_within_bound(sig: ChipmunkSignature, params: RingParams) -> bool:
+    """The key-independent half of verification: ||sigma||_inf <= norm_bound."""
     require_supported(params)
-    if infinity_norm(sig.sigma) > params.norm_bound:
-        return "norm"
+    return infinity_norm(sig.sigma) <= params.norm_bound
+
+
+def identity_holds(pk: PublicKey, message: bytes, sig: ChipmunkSignature) -> bool:
+    """The per-key half of verification: A*sigma == v0*H(M) + v1.
+
+    Compared pointwise in the transform domain: the NTT is a bijection, so
+    this is the same predicate without the inverse transforms.
+    """
     a_hat = ntt_cached(expand_matrix(pk.rho_seed).a)
     lhs = (a_hat * ntt_cached(sig.sigma)) % Q
     rhs = (ntt_cached(pk.v0) * ntt_cached(hash_to_poly(message))
            + ntt_cached(pk.v1)) % Q
-    return "ok" if np.array_equal(lhs, rhs) else "identity"
+    return np.array_equal(lhs, rhs)
+
+
+def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
+                  params: RingParams) -> str:
+    """Check a signature; returns 'ok', 'norm', or 'identity'."""
+    if not norm_within_bound(sig, params):
+        return "norm"
+    return "ok" if identity_holds(pk, message, sig) else "identity"
 
 
 def verify(pk: PublicKey, message: bytes, sig: ChipmunkSignature,

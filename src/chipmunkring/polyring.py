@@ -31,9 +31,9 @@ class Polynomial:
     def __post_init__(self):
         if len(self.coeffs) != N:
             raise ValueError(f"polynomial needs {N} coefficients, got {len(self.coeffs)}")
-        for c in self.coeffs:
-            if not 0 <= c < Q:
-                raise ValueError(f"coefficient {c} out of range [0, {Q})")
+        if min(self.coeffs) < 0 or max(self.coeffs) >= Q:
+            bad = next(c for c in self.coeffs if not 0 <= c < Q)
+            raise ValueError(f"coefficient {bad} out of range [0, {Q})")
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,6 @@ def monomial(coeff: int, degree: int) -> Polynomial:
 def from_centered(values) -> Polynomial:
     """Build a polynomial from centered integer coefficients."""
     return Polynomial(coeffs=tuple(v % Q for v in values))
-
-
-def centered(p: Polynomial) -> tuple:
-    """Coefficients mapped to the centered interval (-q/2, q/2]."""
-    half = Q // 2
-    return tuple(c - Q if c > half else c for c in p.coeffs)
 
 
 def infinity_norm(p: Polynomial) -> int:
@@ -152,14 +146,6 @@ def add(p: Polynomial, r: Polynomial) -> Polynomial:
     a = np.array(p.coeffs, dtype=np.int64)
     b = np.array(r.coeffs, dtype=np.int64)
     s = (a + b) % Q
-    return Polynomial(coeffs=tuple(int(v) for v in s))
-
-
-def sub(p: Polynomial, r: Polynomial) -> Polynomial:
-    """Coefficient-wise difference mod q."""
-    a = np.array(p.coeffs, dtype=np.int64)
-    b = np.array(r.coeffs, dtype=np.int64)
-    s = (a - b) % Q
     return Polynomial(coeffs=tuple(int(v) for v in s))
 
 

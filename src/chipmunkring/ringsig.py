@@ -7,6 +7,14 @@ the challenge, requires at least one valid per-member commitment, checks
 the linkability tags, and accepts if the core signature verifies under at
 least one ring key. Which key verified is never exposed by the API.
 
+The commitment check stops at the first valid commitment. This reveals
+nothing about the signer: every commitment is a function of public data
+and the signing seed only (see build_member_entries), so the records are
+byte-identical whoever signs, and an honest signature always stops at
+member 0. Where the scan stops depends only on the signature bytes and the
+ring, both public. The core check tests the norm bound on sigma once and
+then only the key-dependent identity per member.
+
 Challenge serialization (hashed with SHA3-256):
 
     u32 message length | message | ring_hash
@@ -20,7 +28,6 @@ so anonymity holds only against verifiers that follow the API contract.
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import codec, hots
 from .acorn import create_proof, derive_randomness, linkability_tag, verify_proof
@@ -77,7 +84,6 @@ class VerifyReport:
     detail: str = ""
 
 
-@lru_cache(maxsize=256)
 def ring_hash(ring: Ring) -> bytes:
     """SHA3-256 over the in-order concatenation of encoded member keys."""
     h = hashlib.sha3_256()
@@ -98,14 +104,14 @@ def challenge_digest(message: bytes, rhash: bytes, pairs) -> bytes:
     return h.digest()
 
 
-def build_member_entries(message: bytes, ring: Ring, seed: bytes,
+def build_member_entries(message: bytes, ring: Ring, rhash: bytes, seed: bytes,
                          params: RingParams):
     """Commitments, tags, and challenge for all members from one seed.
 
-    Everything here is a function of public data plus the seed, which is
-    why per-member records are byte-identical no matter who signs.
+    rhash is ring_hash(ring). Everything here is a function of public data
+    plus the seed, which is why per-member records are byte-identical no
+    matter who signs.
     """
-    rhash = ring_hash(ring)
     randomness = [derive_randomness(seed, i) for i in range(ring.size)]
     proofs = [
         create_proof(pk, message, randomness[i], i, params)
@@ -133,7 +139,8 @@ def ring_sign(sk: hots.PrivateKey, signer_index: int, message: bytes, ring: Ring
         raise SignerNotInRingError(
             f"public key at ring position {signer_index} is not the signer's"
         )
-    entries, challenge = build_member_entries(message, ring, entropy, params)
+    entries, challenge = build_member_entries(message, ring, ring_hash(ring), entropy,
+                                              params)
     core = hots.sign(sk, challenge, params)
     return RingSignature(
         ring_size=ring.size,
@@ -163,13 +170,13 @@ def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
     return ""
 
 
-def recompute_challenge(sig: RingSignature, message: bytes, ring: Ring) -> bytes:
+def recompute_challenge(sig: RingSignature, message: bytes, rhash: bytes) -> bytes:
     pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
-    return challenge_digest(message, ring_hash(ring), pairs)
+    return challenge_digest(message, rhash, pairs)
 
 
-def check_linkability(sig: RingSignature, message: bytes, ring: Ring) -> bool:
-    expected = linkability_tag(ring_hash(ring), message, sig.challenge)
+def check_linkability(sig: RingSignature, message: bytes, rhash: bytes) -> bool:
+    expected = linkability_tag(rhash, message, sig.challenge)
     ok = True
     for entry in sig.per_member:
         ok &= entry.linkability == expected
@@ -179,12 +186,16 @@ def check_linkability(sig: RingSignature, message: bytes, ring: Ring) -> bool:
 def core_matches(sig: RingSignature, ring: Ring, params: RingParams):
     """Indices of ring members whose key verifies the core signature.
 
-    Internal: callers expose only accept/reject, never the index.
+    The norm bound does not depend on the key, so it is checked once;
+    only the transform-domain identity runs per member. Internal: callers
+    expose only accept/reject, never the index.
     """
+    if not hots.norm_within_bound(sig.chipmunk_sig, params):
+        return []
     return [
         j
         for j, pk in enumerate(ring.members)
-        if hots.verify(pk, sig.challenge, sig.chipmunk_sig, params)
+        if hots.identity_holds(pk, sig.challenge, sig.chipmunk_sig)
     ]
 
 
@@ -198,15 +209,16 @@ def ring_verify_report(sig: RingSignature, message: bytes, ring: Ring,
         problem = "unexpected threshold block"
     if problem:
         return VerifyReport(False, "structural", problem)
-    if recompute_challenge(sig, message, ring) != sig.challenge:
+    rhash = ring_hash(ring)
+    if recompute_challenge(sig, message, rhash) != sig.challenge:
         return VerifyReport(False, "challenge", "challenge mismatch")
-    valid = 0
-    for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member)):
-        if verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params):
-            valid += 1
-    if valid < 1:
+    # any() stops at the first valid proof; see the module docstring
+    if not any(
+        verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params)
+        for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member))
+    ):
         return VerifyReport(False, "acorn", "no valid per-member proof")
-    if not check_linkability(sig, message, ring):
+    if not check_linkability(sig, message, rhash):
         return VerifyReport(False, "linkability", "linkability tag mismatch")
     if not core_matches(sig, ring, params):
         return VerifyReport(False, "core", "core signature matches no ring key")

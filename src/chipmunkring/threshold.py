@@ -198,13 +198,14 @@ def threshold_challenge(message: bytes, ring: Ring, params: RingParams):
     Derived entirely from (message, ring), so participants need no shared
     state beyond those two values.
     """
+    rhash = ring_hash(ring)
     seed = hashlib.shake_256(
         DOMAIN_SIGNATURE_ZK
-        + ring_hash(ring)
+        + rhash
         + struct.pack("<I", len(message))
         + message
     ).digest(32)
-    entries, challenge = build_member_entries(message, ring, seed, params)
+    entries, challenge = build_member_entries(message, ring, rhash, seed, params)
     return challenge, entries
 
 
@@ -294,7 +295,8 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
     problem = check_structure(sig, ring, params)
     if problem:
         return VerifyReport(False, "structural", problem)
-    if recompute_challenge(sig, message, ring) != sig.challenge:
+    rhash = ring_hash(ring)
+    if recompute_challenge(sig, message, rhash) != sig.challenge:
         return VerifyReport(False, "challenge", "challenge mismatch")
     t = sig.required_signers
     if len(sig.threshold_zk_proofs) != t * params.proof_size:
@@ -303,7 +305,7 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
             f"threshold block is {len(sig.threshold_zk_proofs)} bytes, "
             f"expected {t * params.proof_size}",
         )
-    if not check_linkability(sig, message, ring):
+    if not check_linkability(sig, message, rhash):
         return VerifyReport(False, "linkability", "linkability tag mismatch")
     masters = core_matches(sig, ring, params)
     if not masters:

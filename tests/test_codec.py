@@ -59,6 +59,84 @@ def synthetic_signature(k, t=1, proof_size=64):
     )
 
 
+#   Scalar reference codec: the original per-coefficient loops. The library
+#   packs and unpacks with numpy; these pin its bytes, values and errors.
+
+_MASK22 = (1 << 22) - 1
+
+
+def reference_encode_polynomial(p) -> bytes:
+    c = p.coeffs
+    out = bytearray()
+    for i in range(0, N, 4):
+        v = c[i] | (c[i + 1] << 22) | (c[i + 2] << 44) | (c[i + 3] << 66)
+        out += v.to_bytes(11, "little")
+    return bytes(out)
+
+
+def reference_decode_polynomial(data: bytes):
+    if len(data) != POLYNOMIAL_BYTES:
+        raise TruncatedDataError(
+            f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}"
+        )
+    coeffs = []
+    for i in range(0, POLYNOMIAL_BYTES, 11):
+        v = int.from_bytes(data[i:i + 11], "little")
+        for k in range(4):
+            c = (v >> (22 * k)) & _MASK22
+            if c >= Q:
+                raise FieldError(f"coefficient {c} out of range [0, {Q})")
+            coeffs.append(c)
+    return Polynomial(coeffs=tuple(coeffs))
+
+
+def _outcome(decode, data):
+    try:
+        return decode(data)
+    except (FieldError, TruncatedDataError) as exc:
+        return type(exc), str(exc)
+
+
+def test_polynomial_codec_matches_reference():
+    polys = [random_poly() for _ in range(200)]
+    polys += [zero(), Polynomial(coeffs=(Q - 1,) * N)]
+    for p in polys:
+        data = encode_polynomial(p)
+        assert data == reference_encode_polynomial(p)
+        decoded = decode_polynomial(data)
+        assert decoded == reference_decode_polynomial(data) == p
+        assert all(type(c) is int for c in decoded.coeffs)
+
+
+def _with_word(data: bytes, position: int, word: int) -> bytes:
+    """Overwrite the 22-bit coefficient slot at position with word."""
+    group, k = divmod(position, 4)
+    v = int.from_bytes(data[11 * group:11 * group + 11], "little")
+    v = (v & ~(_MASK22 << (22 * k))) | (word << (22 * k))
+    return data[:11 * group] + v.to_bytes(11, "little") + data[11 * group + 11:]
+
+
+@pytest.mark.parametrize("position", [0, 1, 2, 3, N // 2 + 1, N - 2, N - 1])
+@pytest.mark.parametrize("word", [Q, Q + 1, _MASK22])
+def test_polynomial_decode_hostile_word_matches_reference(position, word):
+    # earlier slots stay legal, so both decoders must name this coefficient
+    data = _with_word(encode_polynomial(random_poly()), position, word)
+    want = (FieldError, f"coefficient {word} out of range [0, {Q})")
+    assert _outcome(reference_decode_polynomial, data) == want
+    assert _outcome(decode_polynomial, data) == want
+
+
+def test_polynomial_decode_random_blobs_match_reference():
+    for _ in range(300):
+        data = rng.randbytes(POLYNOMIAL_BYTES)
+        assert _outcome(decode_polynomial, data) == _outcome(
+            reference_decode_polynomial, data)
+    for size in (0, 11, POLYNOMIAL_BYTES - 1, POLYNOMIAL_BYTES + 1):
+        data = rng.randbytes(size)
+        assert _outcome(decode_polynomial, data) == _outcome(
+            reference_decode_polynomial, data)
+
+
 def test_polynomial_roundtrip_1000():
     for _ in range(1000):
         p = random_poly()

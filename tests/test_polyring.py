@@ -18,7 +18,6 @@ from chipmunkring.polyring import (
     ntt_inverse,
     sample_secret,
     scalar_mul,
-    sub,
     zero,
 )
 
@@ -120,11 +119,6 @@ def test_scalar_mul_matches_mul_by_constant():
     p = random_poly()
     k = rng.randrange(1, Q)
     assert scalar_mul(k, p) == mul(p, monomial(k, 0))
-
-
-def test_sub_is_add_of_negation():
-    a, b = random_poly(), random_poly()
-    assert add(sub(a, b), b) == a
 
 
 def test_sample_secret_deterministic():
