@@ -166,6 +166,28 @@ def _bench_keys(count: int, params):
     return keys
 
 
+def _bench_loop(one, record: dict, iterations: int, warmup: int, budget: float):
+    """Time one(i) -> (sign_ms, verify_ms, signature_bytes) for a configuration.
+
+    One probe call predicts the total; over budget seconds, record comes
+    back marked skipped. Otherwise warmup calls (the probe counts as the
+    first) precede the measured ones, and record gains the signature size
+    and stats.
+    """
+    s, v, size = one(0)
+    if (s + v) / 1e3 * (warmup + iterations) > budget:
+        return {**record, "skipped": True}
+    for i in range(1, warmup):
+        one(i)
+    signs, verifies = [], []
+    for i in range(iterations):
+        s, v, size = one(warmup + i)
+        signs.append(s)
+        verifies.append(v)
+    return {**record, "signature_bytes": size, "sign": _stats_ms(signs),
+            "verify": _stats_ms(verifies), "iterations": iterations}
+
+
 def _bench_single(k: int, iterations: int, warmup: int, budget: float):
     params = preset("single")
     keys = _bench_keys(k, params)
@@ -183,19 +205,8 @@ def _bench_single(k: int, iterations: int, warmup: int, budget: float):
         assert ok, "benchmark signature failed to verify"
         return (t1 - t0) * 1e3, (t2 - t1) * 1e3, len(codec.encode_signature(sig))
 
-    s, v, size = one(0)
-    if (s + v) / 1e3 * (warmup + iterations) > budget:
-        return None
-    for i in range(1, warmup):
-        one(i)
-    signs, verifies = [], []
-    for i in range(iterations):
-        s, v, size = one(warmup + i)
-        signs.append(s)
-        verifies.append(v)
-    return {"ring_size": k, "mode": "single", "threshold": 1,
-            "signature_bytes": size, "sign": _stats_ms(signs),
-            "verify": _stats_ms(verifies), "iterations": iterations}
+    return _bench_loop(one, {"ring_size": k, "mode": "single", "threshold": 1},
+                       iterations, warmup, budget)
 
 
 def _bench_threshold(t: int, n: int, iterations: int, warmup: int, budget: float):
@@ -222,19 +233,8 @@ def _bench_threshold(t: int, n: int, iterations: int, warmup: int, budget: float
         assert ok, "benchmark threshold signature failed to verify"
         return (t1 - t0) * 1e3, (t3 - t2) * 1e3, len(codec.encode_signature(sig))
 
-    s, v, size = one(0)
-    if (s + v) / 1e3 * (warmup + iterations) > budget:
-        return None
-    for i in range(1, warmup):
-        one(i)
-    signs, verifies = [], []
-    for i in range(iterations):
-        s, v, size = one(warmup + i)
-        signs.append(s)
-        verifies.append(v)
-    return {"ring_size": n, "mode": "threshold", "threshold": t,
-            "signature_bytes": size, "sign": _stats_ms(signs),
-            "verify": _stats_ms(verifies), "iterations": iterations}
+    return _bench_loop(one, {"ring_size": n, "mode": "threshold", "threshold": t},
+                       iterations, warmup, budget)
 
 
 def _fit_sizes(records):
@@ -271,16 +271,13 @@ def cmd_bench(args) -> int:
     records = []
     if "single" in modes:
         for k in ring_sizes:
-            rec = _bench_single(k, args.iterations, warmup, args.time_budget)
-            records.append(rec or {"ring_size": k, "mode": "single", "threshold": 1,
-                                   "skipped": True})
+            records.append(_bench_single(k, args.iterations, warmup, args.time_budget))
     if "threshold" in modes:
         for spec in args.threshold_configs.split(","):
             t_str, n_str = spec.split("/")
             t, n = int(t_str), int(n_str)
-            rec = _bench_threshold(t, n, args.iterations, warmup, args.time_budget)
-            records.append(rec or {"ring_size": n, "mode": "threshold",
-                                   "threshold": t, "skipped": True})
+            records.append(_bench_threshold(t, n, args.iterations, warmup,
+                                            args.time_budget))
 
     header = (f"{'ring':>4} {'mode':>9} {'t':>3} {'bytes':>8} "
               f"{'sign mean':>10} {'std':>7} {'median':>8} {'p95':>8} "

@@ -112,7 +112,7 @@ def encode_polynomial(p) -> bytes:
     """Pack 512 coefficients at 22 bits each: 1408 bytes, bijective."""
     # 4 coefficients fill exactly 11 bytes (lcm of 22 and 8 is 88 bits); each
     # group is built as two little-endian u64 words (88 of 128 bits used)
-    c = np.array(p.coeffs, dtype=np.uint64).reshape(-1, 4)
+    c = p.coeffs.astype(np.uint64).reshape(-1, 4)
     words = np.empty((c.shape[0], 2), dtype="<u8")
     words[:, 0] = c[:, 0] | (c[:, 1] << 22) | (c[:, 2] << 44)
     words[:, 1] = (c[:, 2] >> 20) | (c[:, 3] << 2)
@@ -139,7 +139,7 @@ def decode_polynomial(data: bytes):
     bad = np.flatnonzero(c >= Q)
     if bad.size:
         raise FieldError(f"coefficient {int(c[bad[0]])} out of range [0, {Q})")
-    return Polynomial(coeffs=tuple(c.tolist()))
+    return Polynomial(coeffs=c)
 
 
 @lru_cache(maxsize=512)

@@ -110,8 +110,8 @@ class RingParams:
             )
         if self.proof_size not in (64, 96):
             raise ParameterError(f"proof_size must be 64 or 96, got {self.proof_size}")
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
+        if not 1 <= self.iterations <= 10000:
+            raise ParameterError(f"iterations must be in [1, 10000], got {self.iterations}")
         if self.sigma <= 0:
             raise ParameterError("sigma must be positive")
         if self.randomness_size != 32:

@@ -1,9 +1,14 @@
 """Arithmetic in R_q = Z_q[X]/(X^n + 1) for n = 512, q = 3,168,257.
 
+A Polynomial's coefficients are one read-only int64 numpy array of shape
+(512,), each in [0, q); there is no other representation. The constructor
+copies its input (any integer sequence or array), writing to p.coeffs
+raises ValueError, and equality and hashing go by value, as the memoized
+functions here and key lookups in rings need.
+
 Negacyclic multiplication runs through a length-512 NTT; sampling and
 hash-to-polynomial are deterministic SHAKE256 expansions. Every function
-here is pure and Polynomial values are immutable, so unrestricted
-concurrent use is safe.
+here is pure, so unrestricted concurrent use is safe.
 """
 
 import hashlib
@@ -26,14 +31,28 @@ from .params import (
 class Polynomial:
     """Element of R_q: exactly n coefficients, each reduced mod q."""
 
-    coeffs: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) != N:
+        c = np.asarray(self.coeffs, dtype=np.int64).copy()
+        if c.ndim != 1 or len(c) != N:
             raise ValueError(f"polynomial needs {N} coefficients, got {len(self.coeffs)}")
-        if min(self.coeffs) < 0 or max(self.coeffs) >= Q:
-            bad = next(c for c in self.coeffs if not 0 <= c < Q)
-            raise ValueError(f"coefficient {bad} out of range [0, {Q})")
+        bad = np.flatnonzero((c < 0) | (c >= Q))
+        if bad.size:
+            raise ValueError(f"coefficient {c[bad[0]]} out of range [0, {Q})")
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return np.array_equal(self.coeffs, other.coeffs)
+
+    def __hash__(self):
+        return hash(self.coeffs.tobytes())
+
+    def __reduce__(self):  # pickle and deepcopy rebuild through the checks
+        return Polynomial, (self.coeffs,)
 
 
 @dataclass(frozen=True)
@@ -45,27 +64,26 @@ class PublicMatrix:
 
 def zero() -> Polynomial:
     """The zero polynomial."""
-    return Polynomial(coeffs=(0,) * N)
+    return Polynomial(coeffs=np.zeros(N, dtype=np.int64))
 
 
 def monomial(coeff: int, degree: int) -> Polynomial:
     """c * X^degree."""
     if not 0 <= degree < N:
         raise ValueError(f"degree {degree} out of range")
-    c = [0] * N
+    c = np.zeros(N, dtype=np.int64)
     c[degree] = coeff % Q
-    return Polynomial(coeffs=tuple(c))
+    return Polynomial(coeffs=c)
 
 
 def from_centered(values) -> Polynomial:
     """Build a polynomial from centered integer coefficients."""
-    return Polynomial(coeffs=tuple(v % Q for v in values))
+    return Polynomial(coeffs=np.asarray(values, dtype=np.int64) % Q)
 
 
 def infinity_norm(p: Polynomial) -> int:
     """Centered infinity norm max |c_i|."""
-    half = Q // 2
-    return max((Q - c if c > half else c) for c in p.coeffs)
+    return int(np.minimum(p.coeffs, Q - p.coeffs).max())
 
 
 #   NTT tables. psi is a primitive 2n-th root of unity mod q, found by a
@@ -98,7 +116,7 @@ _N_INV = pow(N, Q - 2, Q)
 
 def ntt_forward(p: Polynomial) -> np.ndarray:
     """Forward negacyclic NTT; returns a fresh int64 array of length n."""
-    f = np.array(p.coeffs, dtype=np.int64)
+    f = p.coeffs.copy()
     l = N // 2
     wi = 1
     while l > 0:
@@ -129,8 +147,7 @@ def ntt_inverse(f: np.ndarray) -> Polynomial:
         gv[:, 0, :] = (x + y) % Q
         gv[:, 1, :] = (z[:, None] * (y - x)) % Q
         l <<= 1
-    g = (g * _N_INV) % Q
-    return Polynomial(coeffs=tuple(int(v) for v in g))
+    return Polynomial(coeffs=(g * _N_INV) % Q)
 
 
 @lru_cache(maxsize=4096)
@@ -143,17 +160,12 @@ def ntt_cached(p: Polynomial) -> np.ndarray:
 
 def add(p: Polynomial, r: Polynomial) -> Polynomial:
     """Coefficient-wise sum mod q."""
-    a = np.array(p.coeffs, dtype=np.int64)
-    b = np.array(r.coeffs, dtype=np.int64)
-    s = (a + b) % Q
-    return Polynomial(coeffs=tuple(int(v) for v in s))
+    return Polynomial(coeffs=(p.coeffs + r.coeffs) % Q)
 
 
 def scalar_mul(c: int, p: Polynomial) -> Polynomial:
     """Scalar-by-polynomial product mod q."""
-    a = np.array(p.coeffs, dtype=np.int64)
-    s = (a * (c % Q)) % Q
-    return Polynomial(coeffs=tuple(int(v) for v in s))
+    return Polynomial(coeffs=(p.coeffs * (c % Q)) % Q)
 
 
 def mul(p: Polynomial, r: Polynomial) -> Polynomial:
@@ -174,33 +186,29 @@ def expand_matrix(seed: bytes) -> PublicMatrix:
     """Expand the public element A from a 32-byte seed.
 
     Coefficients come from 4-byte little-endian words of the XOF stream,
-    rejection-sampled against the largest multiple of q below 2^32.
+    rejection-sampled against the largest multiple of q below 2^32. Short
+    of n, the XOF is read at twice the length, which extends the stream.
     """
     if len(seed) != 32:
         raise ValueError("matrix seed must be 32 bytes")
     limit = (1 << 32) // Q * Q
     data = DOMAIN_MATRIX + seed
     length = 4 * N + 256
-    coeffs = []
-    pos = 0
-    buf = _xof(data, length)
-    while len(coeffs) < N:
-        if pos + 4 > len(buf):
-            length *= 2
-            buf = _xof(data, length)
-        word = int.from_bytes(buf[pos:pos + 4], "little")
-        pos += 4
-        if word < limit:
-            coeffs.append(word % Q)
-    return PublicMatrix(a=Polynomial(coeffs=tuple(coeffs)))
+    while True:
+        words = np.frombuffer(_xof(data, length), dtype="<u4")
+        kept = words[words < limit]
+        if len(kept) >= N:
+            return PublicMatrix(a=Polynomial(coeffs=kept[:N] % Q))
+        length *= 2
 
 
 #   Inverse-CDF table for the centered discrete Gaussian with parameter
 #   sigma = 2/sqrt(2*pi), tail-cut at |x| <= 4. Thresholds are CDF values
 #   scaled to 2^64 and frozen as integers so sampling is bit-identical on
-#   every platform. Support is x = -4..4; discrete variance 0.636508.
-_GAUSS_SUPPORT = tuple(range(-SECRET_BOUND, SECRET_BOUND + 1))
-_GAUSS_THRESHOLDS = (
+#   every platform. Support is x = -4..4; discrete variance 0.636508. A
+#   word u maps to x = k - 4, k the number of thresholds <= u; the ninth
+#   threshold, 2^64, is above every word and left implicit.
+_GAUSS_THRESHOLDS = np.array([
     32164831727160,
     7885242684442114,
     406460509248310393,
@@ -209,23 +217,16 @@ _GAUSS_THRESHOLDS = (
     18040283564461241223,
     18438858831025109502,
     18446711908877824456,
-    18446744073709551616,
-)
+], dtype=np.uint64)
 
 
 def sample_secret(seed: bytes, context: bytes) -> Polynomial:
     """Sample a small-coefficient secret polynomial, deterministic per (seed, context)."""
     if len(seed) != 32:
         raise ValueError("secret seed must be 32 bytes")
-    buf = _xof(context + seed, 8 * N)
-    coeffs = []
-    for i in range(N):
-        u = int.from_bytes(buf[8 * i:8 * i + 8], "little")
-        k = 0
-        while u >= _GAUSS_THRESHOLDS[k]:
-            k += 1
-        coeffs.append(_GAUSS_SUPPORT[k] % Q)
-    return Polynomial(coeffs=tuple(coeffs))
+    u = np.frombuffer(_xof(context + seed, 8 * N), dtype="<u8")
+    k = np.searchsorted(_GAUSS_THRESHOLDS, u, side="right")
+    return Polynomial(coeffs=(k - SECRET_BOUND) % Q)
 
 
 @lru_cache(maxsize=512)
@@ -255,4 +256,4 @@ def hash_to_poly(message: bytes) -> Polynomial:
             continue
         coeffs[idx] = Q - 1 if sign else 1
         placed += 1
-    return Polynomial(coeffs=tuple(coeffs))
+    return Polynomial(coeffs=coeffs)

@@ -22,12 +22,15 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import codec, hots
 from .acorn import constant_time_eq, create_proof, derive_randomness
 from .errors import ByzantineShareError, ThresholdError
 from .params import (
     DOMAIN_COORDINATION,
     DOMAIN_SIGNATURE_ZK,
+    N,
     Q,
     RingParams,
     ZK_DOMAIN_SECRET_SHARING,
@@ -103,15 +106,17 @@ def lagrange_at_zero(points, q: int = Q) -> LagrangeCoefficients:
     return LagrangeCoefficients(points=pts, coeffs=tuple(coeffs))
 
 
-def share_scalar(secret: int, rand_coeffs, xs, q: int = Q):
-    """Evaluate f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) at each x."""
-    out = []
-    for x in xs:
-        acc = 0
-        for c in reversed(rand_coeffs):
-            acc = (acc + c) * x % q
-        out.append((acc + secret) % q)
-    return out
+def share_scalar(secret, rand_coeffs, xs, q: int = Q):
+    """Evaluate f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) at each x.
+
+    Inputs are ints or int64 arrays of one shape S, reduced mod q; the result
+    has shape S + (len(xs),). Horner steps stay below 2q * max(xs) in int64.
+    """
+    x = np.asarray(xs, dtype=np.int64)
+    acc = np.zeros(np.shape(secret) + x.shape, dtype=np.int64)
+    for c in reversed(rand_coeffs):
+        acc = (acc + np.expand_dims(c, -1)) * x % q
+    return (acc + np.expand_dims(secret, -1)) % q
 
 
 def _sharing_coefficients(entropy: bytes, index: int, count: int):
@@ -148,28 +153,23 @@ def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
         )
     if len(entropy) != 32:
         raise ValueError("entropy must be 32 bytes")
-    xs = list(range(1, n_participants + 1))
-    evals = []  # index: master coefficient 0..1023, value: [f(x) for x in xs]
-    master = list(sk.s0.coeffs) + list(sk.s1.coeffs)
-    for j, secret in enumerate(master):
-        rand_coeffs = _sharing_coefficients(entropy, j, t - 1)
-        evals.append(share_scalar(secret, rand_coeffs, xs, Q))
-    shares = []
-    half = len(sk.s0.coeffs)
-    for i, x in enumerate(xs):
-        s0_share = Polynomial(coeffs=tuple(evals[j][i] for j in range(half)))
-        s1_share = Polynomial(coeffs=tuple(evals[half + j][i] for j in range(half)))
-        shares.append(
-            KeyShare(
-                participant_x=x,
-                s0_share=s0_share,
-                s1_share=s1_share,
-                pk=sk.pk,
-                n_participants=n_participants,
-                threshold_t=t,
-            )
+    xs = range(1, n_participants + 1)
+    master = np.concatenate((sk.s0.coeffs, sk.s1.coeffs))
+    # row j: the t - 1 random coefficients of master coefficient j's polynomial
+    rand = np.array([_sharing_coefficients(entropy, j, t - 1) for j in range(2 * N)],
+                    dtype=np.int64)
+    evals = share_scalar(master, rand.T, xs, Q)  # (1024, n): column i is x = i + 1
+    return tuple(
+        KeyShare(
+            participant_x=x,
+            s0_share=Polynomial(coeffs=evals[:N, i]),
+            s1_share=Polynomial(coeffs=evals[N:, i]),
+            pk=sk.pk,
+            n_participants=n_participants,
+            threshold_t=t,
         )
-    return tuple(shares)
+        for i, x in enumerate(xs)
+    )
 
 
 @lru_cache(maxsize=256)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from chipmunkring import threshold
@@ -66,7 +67,7 @@ _MASK22 = (1 << 22) - 1
 
 
 def reference_encode_polynomial(p) -> bytes:
-    c = p.coeffs
+    c = [int(v) for v in p.coeffs]  # Python ints: the shift by 66 needs > 64 bits
     out = bytearray()
     for i in range(0, N, 4):
         v = c[i] | (c[i + 1] << 22) | (c[i + 2] << 44) | (c[i + 3] << 66)
@@ -105,7 +106,8 @@ def test_polynomial_codec_matches_reference():
         assert data == reference_encode_polynomial(p)
         decoded = decode_polynomial(data)
         assert decoded == reference_decode_polynomial(data) == p
-        assert all(type(c) is int for c in decoded.coeffs)
+        assert decoded.coeffs.dtype == np.int64 and decoded.coeffs.shape == (N,)
+        assert not decoded.coeffs.flags.writeable
 
 
 def _with_word(data: bytes, position: int, word: int) -> bytes:

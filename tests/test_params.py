@@ -54,6 +54,8 @@ def test_bad_proof_size_rejected():
 def test_bad_iterations_rejected():
     with pytest.raises(ParameterError):
         RingParams(iterations=0)
+    with pytest.raises(ParameterError):
+        RingParams(iterations=10001)
 
 
 def test_bad_sigma_rejected():

@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 
 import numpy as np
 import pytest
 
 from chipmunkring import polyring
-from chipmunkring.params import N, Q
+from chipmunkring.params import DOMAIN_MATRIX, N, Q
 from chipmunkring.polyring import (
     Polynomial,
     add,
@@ -51,10 +53,29 @@ def convolve_mul(f, g):
 
 
 def test_polynomial_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^polynomial needs {N} coefficients, got {N - 1}$"):
         Polynomial(coeffs=(0,) * (N - 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^coefficient {Q} out of range \[0, {Q}\)$"):
         Polynomial(coeffs=(Q,) + (0,) * (N - 1))
+    with pytest.raises(ValueError, match=r"^coefficient -1 out of range"):
+        Polynomial(coeffs=np.array([5] * (N - 1) + [-1]))
+
+    # the constructor copies: the source can change, the polynomial cannot
+    source = np.arange(N, dtype=np.int64)
+    p = Polynomial(coeffs=source)
+    source[0] = 7
+    assert p.coeffs[0] == 0
+    assert p.coeffs.dtype == np.int64 and p.coeffs.shape == (N,)
+    for held in (p, pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        with pytest.raises(ValueError):
+            held.coeffs[0] = 1
+
+    # equality and hashing by value, whatever sequence built the polynomial
+    same = Polynomial(coeffs=tuple(range(N)))
+    assert p == same and hash(p) == hash(same)
+    assert p == Polynomial(coeffs=list(range(N)))
+    assert p != add(p, monomial(1, 0))
+    assert len({p, same, Polynomial(coeffs=np.arange(N, dtype=np.uint64))}) == 1
 
 
 def test_add_identity():
@@ -198,7 +219,7 @@ def test_expand_matrix_seed_sensitivity():
     a = expand_matrix(bytes(seed))
     seed[0] ^= 0x01
     b = expand_matrix(bytes(seed))
-    assert a.a.coeffs != b.a.coeffs
+    assert a.a != b.a
 
 
 def test_expand_matrix_range():
@@ -215,3 +236,94 @@ def test_from_centered_and_norm():
 def test_psi_is_primitive_2n_root():
     assert pow(polyring.PSI, N, Q) == Q - 1
     assert pow(polyring.PSI, 2 * N, Q) == 1
+
+
+#   Scalar references: the original per-word loops. The library samples with
+#   numpy; these pin its coefficients exactly.
+
+_REFERENCE_THRESHOLDS = (
+    32164831727160,
+    7885242684442114,
+    406460509248310393,
+    4611718169563505816,
+    13835025904146045800,
+    18040283564461241223,
+    18438858831025109502,
+    18446711908877824456,
+    18446744073709551616,
+)
+
+
+def reference_sample_secret(seed, context):
+    buf = polyring._xof(context + seed, 8 * N)
+    coeffs = []
+    for i in range(N):
+        u = int.from_bytes(buf[8 * i:8 * i + 8], "little")
+        k = 0
+        while u >= _REFERENCE_THRESHOLDS[k]:
+            k += 1
+        coeffs.append((k - 4) % Q)
+    return np.array(coeffs, dtype=np.int64)
+
+
+def reference_expand_matrix(seed):
+    limit = (1 << 32) // Q * Q
+    data = DOMAIN_MATRIX + seed
+    length = 4 * N + 256
+    coeffs = []
+    pos = 0
+    buf = polyring._xof(data, length)
+    while len(coeffs) < N:
+        if pos + 4 > len(buf):
+            length *= 2
+            buf = polyring._xof(data, length)
+        word = int.from_bytes(buf[pos:pos + 4], "little")
+        pos += 4
+        if word < limit:
+            coeffs.append(word % Q)
+    return np.array(coeffs, dtype=np.int64)
+
+
+def test_sample_secret_matches_reference():
+    for i in range(120):
+        seed = random.Random(i).randbytes(32)
+        context = (b"s0", b"s1", b"ctx %d" % i)[i % 3]
+        got = sample_secret(seed, context).coeffs
+        assert np.array_equal(got, reference_sample_secret(seed, context))
+
+
+def test_sample_secret_threshold_words_match_reference(monkeypatch):
+    # words on, just below and just above every threshold, where a loop
+    # comparing u >= T and a search with the wrong side disagree
+    words = [0, (1 << 64) - 1]
+    for t in _REFERENCE_THRESHOLDS[:-1]:
+        words += [t - 1, t, t + 1]
+    words = (words * N)[:N]
+    stream = b"".join(w.to_bytes(8, "little") for w in words)
+    monkeypatch.setattr(polyring, "_xof", lambda data, length: stream[:length])
+    got = sample_secret(b"\x00" * 32, b"edge").coeffs
+    assert np.array_equal(got, reference_sample_secret(b"\x00" * 32, b"edge"))
+
+
+def test_expand_matrix_matches_reference():
+    for i in range(120):
+        seed = random.Random(1000 + i).randbytes(32)
+        got = expand_matrix.__wrapped__(seed).a.coeffs
+        assert np.array_equal(got, reference_expand_matrix(seed))
+
+
+def test_expand_matrix_doubling_matches_reference(monkeypatch):
+    # 300 words above the rejection limit leave fewer than n accepted words
+    # in the first read, so both versions must double the stream length
+    shake = polyring._xof
+    lengths = []
+
+    def rejecting_xof(data, length):
+        lengths.append(length)
+        return (b"\xff" * 4 * 300 + shake(data, length))[:length]
+
+    monkeypatch.setattr(polyring, "_xof", rejecting_xof)
+    seed = b"\x44" * 32
+    got = expand_matrix.__wrapped__(seed).a.coeffs
+    assert max(lengths) > 4 * N + 256
+    assert np.array_equal(got, reference_expand_matrix(seed))

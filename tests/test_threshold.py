@@ -2,6 +2,7 @@ import dataclasses
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from chipmunkring import hots, threshold
@@ -94,6 +95,35 @@ def test_deal_t1_shares_equal_master(key_pool):
     for share in shares:
         assert share.s0_share == sk.s0
         assert share.s1_share == sk.s1
+
+
+def reference_deal(sk, t, n, entropy):
+    """The original per-coefficient, per-participant Horner loop: for each
+    participant x, its s0 and s1 share coefficients as two int64 arrays."""
+    master = [int(c) for c in sk.s0.coeffs] + [int(c) for c in sk.s1.coeffs]
+    rows = {x: [] for x in range(1, n + 1)}
+    for j, secret in enumerate(master):
+        rand_coeffs = threshold._sharing_coefficients(entropy, j, t - 1)
+        for x in rows:
+            acc = 0
+            for c in reversed(rand_coeffs):
+                acc = (acc + c) * x % Q
+            rows[x].append((acc + secret) % Q)
+    half = len(master) // 2
+    return {x: (np.array(r[:half]), np.array(r[half:])) for x, r in rows.items()}
+
+
+@pytest.mark.parametrize("t,n", [(1, 1), (2, 3), (16, 32), (64, 64)])
+def test_deal_matches_reference(key_pool, t, n):
+    sk, _ = key_pool[3]
+    entropy = bytes([t, n]) * 16
+    shares = deal_shares(sk, t, n, entropy)
+    want = reference_deal(sk, t, n, entropy)
+    assert [s.participant_x for s in shares] == list(range(1, n + 1))
+    for share in shares:
+        s0, s1 = want[share.participant_x]
+        assert np.array_equal(share.s0_share.coeffs, s0)
+        assert np.array_equal(share.s1_share.coeffs, s1)
 
 
 def test_deal_rejects_bad_config(key_pool):
