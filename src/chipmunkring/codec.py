@@ -22,11 +22,18 @@ Object layouts (after the header):
 
 Unknown version or kind is rejected, never skipped. decode(encode(x)) == x
 for every object kind.
+
+A public key carries its canonical bytes: keygen and the key constructor
+compute them once, decode_public_key keeps the bytes it read (with the
+mode byte set to 1, the only mode encode_public_key writes), and
+encode_public_key returns them. Key equality and hashing go by these bytes,
+so hots.transform_rows, the one cache of per-key verification work (a
+read-only (3, 512) int32 array of NTT(A), NTT(v0), NTT(v1), for at most 256
+keys), looks a key up by its bytes.
 """
 
 import hashlib
 import struct
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,6 +126,29 @@ def encode_polynomial(p) -> bytes:
     return words.view(np.uint8).reshape(-1, 16)[:, :11].tobytes()
 
 
+def _unpack(data: bytes) -> np.ndarray:
+    """The uint64 coefficients of whole polynomials packed back to back.
+
+    Raises FieldError naming the first coefficient that is not below q.
+    """
+    groups = len(data) // 11
+    if groups == 0:
+        return np.empty(0, dtype=np.uint64)
+    # group g's 88 bits, read as two unaligned u64 words at bytes 11g and 11g + 3
+    lo = np.ndarray((groups,), dtype="<u8", buffer=data, strides=(11,))
+    hi = np.ndarray((groups,), dtype="<u8", buffer=data, offset=3, strides=(11,))
+    c = np.empty((groups, 4), dtype=np.uint64)
+    c[:, 0] = lo
+    c[:, 1] = lo >> 22
+    c[:, 2] = hi >> 20  # bits 44..65
+    c[:, 3] = hi >> 42  # bits 66..87
+    c = c.reshape(-1)
+    c &= _MASK22
+    if c.max() >= Q:
+        raise FieldError(f"coefficient {int(c[np.argmax(c >= Q)])} out of range [0, {Q})")
+    return c
+
+
 def decode_polynomial(data: bytes):
     from .polyring import Polynomial
 
@@ -126,42 +156,46 @@ def decode_polynomial(data: bytes):
         raise TruncatedDataError(
             f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}"
         )
-    groups = np.zeros((POLYNOMIAL_BYTES // 11, 16), dtype=np.uint8)
-    groups[:, :11] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 11)
-    words = groups.view("<u8")
-    lo, hi = words[:, 0], words[:, 1]
-    c = np.empty((len(words), 4), dtype=np.uint64)
-    c[:, 0] = lo
-    c[:, 1] = lo >> 22
-    c[:, 2] = (lo >> 44) | (hi << 20)
-    c[:, 3] = hi >> 2
-    c = c.reshape(-1) & _MASK22
-    bad = np.flatnonzero(c >= Q)
-    if bad.size:
-        raise FieldError(f"coefficient {int(c[bad[0]])} out of range [0, {Q})")
-    return Polynomial(coeffs=c)
+    return Polynomial(coeffs=_unpack(data))
 
 
-@lru_cache(maxsize=512)
-def encode_public_key(pk) -> bytes:
+def public_key_bytes(rho_seed: bytes, v0, v1) -> bytes:
+    """The canonical encoding of a public key's fields (mode byte 1)."""
     return (
         pack_header(KIND_PUBLIC_KEY, MODE_SINGLE)
-        + pk.rho_seed
-        + encode_polynomial(pk.v0)
-        + encode_polynomial(pk.v1)
+        + rho_seed
+        + encode_polynomial(v0)
+        + encode_polynomial(v1)
     )
 
 
+def encode_public_key(pk) -> bytes:
+    """A key's canonical bytes, which it carries from construction."""
+    return pk.encoded
+
+
 def decode_public_key(data: bytes):
+    """Decode a public key, keeping the bytes read as its canonical encoding.
+
+    v0 and v1 are unpacked in one pass. The checks still run in the order
+    of reading v0 and then v1: truncation of v0, a bad coefficient in v0,
+    truncation of v1, a bad coefficient in v1, trailing bytes.
+    """
     from .hots import PublicKey
+    from .polyring import Polynomial
 
     r = _Reader(data)
     _read_header(r, KIND_PUBLIC_KEY)
     rho_seed = r.take(32)
-    v0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    v1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
+    body = r.data[r.pos:r.pos + 2 * POLYNOMIAL_BYTES]
+    c = _unpack(body[:len(body) // POLYNOMIAL_BYTES * POLYNOMIAL_BYTES])
+    r.take(POLYNOMIAL_BYTES)
+    r.take(POLYNOMIAL_BYTES)
     r.expect_end()
-    return PublicKey(rho_seed=rho_seed, v0=v0, v1=v1)
+    # encode_public_key writes mode 1 whatever the mode byte read
+    encoded = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + r.data[HEADER_BYTES:]
+    return PublicKey(rho_seed=rho_seed, v0=Polynomial(coeffs=c[:N]),
+                     v1=Polynomial(coeffs=c[N:]), decoded_from=encoded)
 
 
 def encode_private_key(sk) -> bytes:

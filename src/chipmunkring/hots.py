@@ -6,10 +6,18 @@ polynomial sigma = s0*H(M) + s1. Verification checks the forced linear
 identity A*sigma == v0*H(M) + v1 together with a norm bound on sigma
 (without the bound, the identity alone is satisfiable by linear algebra).
 
+A PublicKey carries its canonical wire bytes (`encoded`), computed once when
+the key is built from its fields, or taken from the bytes it was decoded
+from. Equality and hashing go by those bytes; Python caches a bytes
+object's hash, so a key hashes once however often it is looked up.
+
 The check is split in two so that a verifier holding many candidate keys,
 as a ring verifier does, can test the norm once per signature
-(norm_within_bound) and then only the identity per key (identity_holds);
-verify_detail runs both in that order for a single key.
+(norm_within_bound) and then the identity for all keys at once
+(identity_holds); verify_detail runs both in that order for a single key.
+The per-key half of that work, the transforms NTT(A), NTT(v0) and NTT(v1),
+lives in one cache, transform_rows, keyed on the key and bounded to 256
+keys (four rings of 64).
 
 Signatures add coordinate-wise across additive key shares, which is what
 the threshold layer builds on. Key reuse leaks information about (s0, s1);
@@ -18,7 +26,8 @@ keys only ever sign 32-byte challenge digests.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,16 +40,39 @@ from .polyring import (
     hash_to_poly,
     infinity_norm,
     mul,
-    ntt_cached,
+    ntt_forward,
     sample_secret,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PublicKey:
+    """A core public key; compares and hashes by its canonical bytes.
+
+    `encoded` is computed from the fields, unless the codec passes
+    decoded_from: the canonical bytes it has just decoded the fields from.
+    decoded_from is not stored under its own name, so dataclasses.replace
+    re-encodes from the new fields.
+    """
+
     rho_seed: bytes
     v0: Polynomial
     v1: Polynomial
+    decoded_from: InitVar[bytes | None] = None
+
+    def __post_init__(self, decoded_from):
+        encoded = decoded_from
+        if encoded is None:
+            encoded = codec.public_key_bytes(self.rho_seed, self.v0, self.v1)
+        object.__setattr__(self, "encoded", encoded)
+
+    def __eq__(self, other):
+        if not isinstance(other, PublicKey):
+            return NotImplemented
+        return self.encoded == other.encoded
+
+    def __hash__(self):
+        return hash(self.encoded)
 
 
 @dataclass(frozen=True)
@@ -64,7 +96,7 @@ def keypair_from_secrets(rho_seed: bytes, s0: Polynomial, s1: Polynomial,
         raise ValueError("rho_seed must be 32 bytes")
     a = expand_matrix(rho_seed).a
     pk = PublicKey(rho_seed=rho_seed, v0=mul(a, s0), v1=mul(a, s1))
-    tr = hashlib.sha3_384(codec.encode_public_key(pk)).digest()
+    tr = hashlib.sha3_384(pk.encoded).digest()
     sk = PrivateKey(seed=seed, tr=tr, s0=s0, s1=s1, pk=pk)
     return sk, pk
 
@@ -95,17 +127,34 @@ def norm_within_bound(sig: ChipmunkSignature, params: RingParams) -> bool:
     return infinity_norm(sig.sigma) <= params.norm_bound
 
 
-def identity_holds(pk: PublicKey, message: bytes, sig: ChipmunkSignature) -> bool:
-    """The per-key half of verification: A*sigma == v0*H(M) + v1.
+@lru_cache(maxsize=256)
+def transform_rows(pk: PublicKey) -> np.ndarray:
+    """Read-only (3, n) array: NTT(A), NTT(v0) and NTT(v1) of one key.
+
+    Stored as int32 (every value is below q < 2^22), which halves the cache
+    and the per-check stack; products with int64 arrays are int64.
+    """
+    rows = np.stack((ntt_forward(expand_matrix(pk.rho_seed).a),
+                     ntt_forward(pk.v0), ntt_forward(pk.v1))).astype(np.int32)
+    rows.flags.writeable = False
+    return rows
+
+
+def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
+    """The per-key half of verification, A*sigma == v0*H(M) + v1, for each
+    key in pks at once: a boolean array of len(pks).
 
     Compared pointwise in the transform domain: the NTT is a bijection, so
-    this is the same predicate without the inverse transforms.
+    this is the same predicate without the inverse transforms. sigma and
+    H(M) are transformed once per call; every key costs the same work.
     """
-    a_hat = ntt_cached(expand_matrix(pk.rho_seed).a)
-    lhs = (a_hat * ntt_cached(sig.sigma)) % Q
-    rhs = (ntt_cached(pk.v0) * ntt_cached(hash_to_poly(message))
-           + ntt_cached(pk.v1)) % Q
-    return np.array_equal(lhs, rhs)
+    rows = np.stack([transform_rows(pk) for pk in pks])  # (k, 3, n)
+    lhs = rows[:, 0] * ntt_forward(sig.sigma)
+    lhs %= Q
+    rhs = rows[:, 1] * ntt_forward(hash_to_poly(message))
+    rhs += rows[:, 2]
+    rhs %= Q
+    return (lhs == rhs).all(axis=1)
 
 
 def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
@@ -113,7 +162,7 @@ def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
     """Check a signature; returns 'ok', 'norm', or 'identity'."""
     if not norm_within_bound(sig, params):
         return "norm"
-    return "ok" if identity_holds(pk, message, sig) else "identity"
+    return "ok" if identity_holds((pk,), message, sig)[0] else "identity"
 
 
 def verify(pk: PublicKey, message: bytes, sig: ChipmunkSignature,

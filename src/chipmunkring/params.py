@@ -122,13 +122,18 @@ class RingParams:
             raise ParameterError("norm_bound must be positive")
 
 
+# Built once: RingParams is frozen, and validating q is a trial division.
+_PRESETS = {
+    "single": RingParams(proof_size=64, iterations=100),
+    "multi": RingParams(proof_size=96, iterations=1000),
+}
+
+
 def preset(mode: str) -> RingParams:
     """Return the named parameter preset: 'single' or 'multi'."""
-    if mode == "single":
-        return RingParams(proof_size=64, iterations=100)
-    if mode == "multi":
-        return RingParams(proof_size=96, iterations=1000)
-    raise ParameterError(f"unknown parameter mode {mode!r}")
+    if mode not in _PRESETS:
+        raise ParameterError(f"unknown parameter mode {mode!r}")
+    return _PRESETS[mode]
 
 
 def require_supported(params: RingParams) -> None:

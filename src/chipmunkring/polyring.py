@@ -34,12 +34,13 @@ class Polynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.int64).copy()
+        c = np.array(self.coeffs, dtype=np.int64)  # always a fresh copy
         if c.ndim != 1 or len(c) != N:
             raise ValueError(f"polynomial needs {N} coefficients, got {len(self.coeffs)}")
-        bad = np.flatnonzero((c < 0) | (c >= Q))
-        if bad.size:
-            raise ValueError(f"coefficient {c[bad[0]]} out of range [0, {Q})")
+        # as uint64 a negative coefficient is above q too, so one max() checks both ends
+        if c.view(np.uint64).max() >= Q:
+            bad = c[np.argmax((c < 0) | (c >= Q))]
+            raise ValueError(f"coefficient {bad} out of range [0, {Q})")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -74,11 +75,6 @@ def monomial(coeff: int, degree: int) -> Polynomial:
     c = np.zeros(N, dtype=np.int64)
     c[degree] = coeff % Q
     return Polynomial(coeffs=c)
-
-
-def from_centered(values) -> Polynomial:
-    """Build a polynomial from centered integer coefficients."""
-    return Polynomial(coeffs=np.asarray(values, dtype=np.int64) % Q)
 
 
 def infinity_norm(p: Polynomial) -> int:
@@ -152,7 +148,11 @@ def ntt_inverse(f: np.ndarray) -> Polynomial:
 
 @lru_cache(maxsize=4096)
 def ntt_cached(p: Polynomial) -> np.ndarray:
-    """Memoized forward NTT; the returned array is read-only."""
+    """Memoized forward NTT; the returned array is read-only.
+
+    Verification does not use it: per-key transforms live in
+    hots.transform_rows, and sigma and H(c) are new on every input.
+    """
     f = ntt_forward(p)
     f.flags.writeable = False
     return f

@@ -13,7 +13,7 @@ and the signing seed only (see build_member_entries), so the records are
 byte-identical whoever signs, and an honest signature always stops at
 member 0. Where the scan stops depends only on the signature bytes and the
 ring, both public. The core check tests the norm bound on sigma once and
-then only the key-dependent identity per member.
+then the key-dependent identity for all members in one stacked comparison.
 
 Challenge serialization (hashed with SHA3-256):
 
@@ -29,7 +29,9 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-from . import codec, hots
+import numpy as np
+
+from . import hots
 from .acorn import create_proof, derive_randomness, linkability_tag, verify_proof
 from .errors import RingSizeError, SignerNotInRingError
 from .params import RingParams
@@ -88,7 +90,7 @@ def ring_hash(ring: Ring) -> bytes:
     """SHA3-256 over the in-order concatenation of encoded member keys."""
     h = hashlib.sha3_256()
     for pk in ring.members:
-        h.update(codec.encode_public_key(pk))
+        h.update(pk.encoded)
     return h.digest()
 
 
@@ -186,17 +188,15 @@ def check_linkability(sig: RingSignature, message: bytes, rhash: bytes) -> bool:
 def core_matches(sig: RingSignature, ring: Ring, params: RingParams):
     """Indices of ring members whose key verifies the core signature.
 
-    The norm bound does not depend on the key, so it is checked once;
-    only the transform-domain identity runs per member. Internal: callers
-    expose only accept/reject, never the index.
+    The norm bound does not depend on the key, so it is checked once; the
+    transform-domain identity then runs for all members as one stacked
+    (k, n) comparison, the same work whichever member signed. Internal:
+    callers expose only accept/reject, never the index.
     """
     if not hots.norm_within_bound(sig.chipmunk_sig, params):
         return []
-    return [
-        j
-        for j, pk in enumerate(ring.members)
-        if hots.identity_holds(pk, sig.challenge, sig.chipmunk_sig)
-    ]
+    held = hots.identity_holds(ring.members, sig.challenge, sig.chipmunk_sig)
+    return np.flatnonzero(held).tolist()
 
 
 def ring_verify_report(sig: RingSignature, message: bytes, ring: Ring,

@@ -35,7 +35,7 @@ from .params import (
     RingParams,
     ZK_DOMAIN_SECRET_SHARING,
 )
-from .polyring import Polynomial, add, hash_to_poly, mul, scalar_mul, zero
+from .polyring import Polynomial, _xof, add, hash_to_poly, mul, scalar_mul, zero
 from .ringsig import (
     Ring,
     RingSignature,
@@ -119,24 +119,52 @@ def share_scalar(secret, rand_coeffs, xs, q: int = Q):
     return (acc + np.expand_dims(secret, -1)) % q
 
 
+_SHARE_LIMIT = (1 << 32) // Q * Q  # largest multiple of q below 2^32
+
+
 def _sharing_coefficients(entropy: bytes, index: int, count: int):
     """count random Z_q values for one sharing polynomial, rejection-sampled."""
     if count == 0:
         return []
     data = ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", index)
-    limit = (1 << 32) // Q * Q
     length = 4 * count + 64
-    buf = hashlib.shake_256(data).digest(length)
+    buf = _xof(data, length)
     out = []
     pos = 0
     while len(out) < count:
         if pos + 4 > len(buf):
             length *= 2
-            buf = hashlib.shake_256(data).digest(length)
+            buf = _xof(data, length)
         word = int.from_bytes(buf[pos:pos + 4], "little")
         pos += 4
-        if word < limit:
+        if word < _SHARE_LIMIT:
             out.append(word % Q)
+    return out
+
+
+def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
+    """(rows, count) int64 array; row j is _sharing_coefficients(entropy, j, count).
+
+    Each row keeps its own SHAKE stream, read at _sharing_coefficients'
+    first length, and the words of all rows are filtered in one pass. A row
+    with fewer than count accepted words there (at least 17 of its
+    count + 16 words rejected, each with probability about 2^-11) takes the
+    scalar loop, which reads further.
+    """
+    prefix = ZK_DOMAIN_SECRET_SHARING + entropy
+    length = 4 * count + 64
+    words = np.frombuffer(
+        b"".join(_xof(prefix + struct.pack("<I", j), length) for j in range(rows)),
+        dtype="<u4",
+    ).reshape(rows, -1)
+    kept = words < _SHARE_LIMIT
+    rank = np.cumsum(kept, axis=1)
+    full = rank[:, -1] >= count
+    out = np.empty((rows, count), dtype=np.int64)
+    picked = words[kept & (rank <= count) & full[:, None]] % Q
+    out[full] = picked.reshape(np.count_nonzero(full), count)
+    for j in np.flatnonzero(~full):
+        out[j] = _sharing_coefficients(entropy, int(j), count)
     return out
 
 
@@ -156,8 +184,7 @@ def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
     xs = range(1, n_participants + 1)
     master = np.concatenate((sk.s0.coeffs, sk.s1.coeffs))
     # row j: the t - 1 random coefficients of master coefficient j's polynomial
-    rand = np.array([_sharing_coefficients(entropy, j, t - 1) for j in range(2 * N)],
-                    dtype=np.int64)
+    rand = _sharing_matrix(entropy, 2 * N, t - 1)
     evals = share_scalar(master, rand.T, xs, Q)  # (1024, n): column i is x = i + 1
     return tuple(
         KeyShare(

@@ -28,6 +28,14 @@ def test_preset_unknown_mode():
         preset("enterprise")
 
 
+def test_presets_are_built_once(monkeypatch):
+    assert preset("single") == RingParams(proof_size=64, iterations=100)
+    # a call validates nothing again: q's primality test is not rerun
+    monkeypatch.setattr(params, "_is_prime", lambda n: False)
+    for mode in ("single", "multi"):
+        assert preset(mode) is preset(mode)
+
+
 def test_modulus_congruence():
     # 3094 * 1024 = 3,168,256, so q = 3,168,257 is 1 mod 1024
     assert 3094 * 1024 == 3168256

@@ -11,7 +11,6 @@ from chipmunkring.polyring import (
     Polynomial,
     add,
     expand_matrix,
-    from_centered,
     hash_to_poly,
     infinity_norm,
     monomial,
@@ -228,7 +227,7 @@ def test_expand_matrix_range():
 
 
 def test_from_centered_and_norm():
-    p = from_centered([-4, 3] + [0] * (N - 2))
+    p = Polynomial(coeffs=np.array([-4, 3] + [0] * (N - 2)) % Q)
     assert p.coeffs[0] == Q - 4
     assert infinity_norm(p) == 4
 

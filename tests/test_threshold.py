@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from chipmunkring import hots, threshold
 from chipmunkring.errors import ByzantineShareError, ThresholdError
-from chipmunkring.params import Q
+from chipmunkring.params import N, Q, ZK_DOMAIN_SECRET_SHARING
 from chipmunkring.polyring import Polynomial, add, hash_to_poly, mul, scalar_mul, zero
 from chipmunkring.ringsig import Ring
 from chipmunkring.threshold import (
@@ -124,6 +125,54 @@ def test_deal_matches_reference(key_pool, t, n):
         s0, s1 = want[share.participant_x]
         assert np.array_equal(share.s0_share.coeffs, s0)
         assert np.array_equal(share.s1_share.coeffs, s1)
+
+
+def reference_sharing_coefficients(entropy, index, count):
+    """The original scalar rejection loop, doubling its read when short."""
+    data = ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", index)
+    limit = (1 << 32) // Q * Q
+    length = 4 * count + 64
+    buf = threshold._xof(data, length)
+    out = []
+    pos = 0
+    while len(out) < count:
+        if pos + 4 > len(buf):
+            length *= 2
+            buf = threshold._xof(data, length)
+        word = int.from_bytes(buf[pos:pos + 4], "little")
+        pos += 4
+        if word < limit:
+            out.append(word % Q)
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 15, 63])
+def test_sharing_matrix_matches_reference(count):
+    entropy = bytes([count]) * 32
+    got = threshold._sharing_matrix(entropy, 2 * N, count)
+    assert got.shape == (2 * N, count) and got.dtype == np.int64
+    want = [reference_sharing_coefficients(entropy, j, count) for j in range(2 * N)]
+    assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(2 * N, count))
+
+
+def test_sharing_matrix_rejection_and_doubling_match_reference(monkeypatch):
+    # row j's stream starts with 10 * (j % 5) words above the rejection
+    # limit: rows with 0 or 10 stay in the vectorised filter, rows with 20,
+    # 30 or 40 are short of count in the first read and must double it
+    shake = threshold._xof
+    lengths = []
+
+    def rejecting_xof(data, length):
+        lengths.append(length)
+        rejected = 10 * (int.from_bytes(data[-4:], "little") % 5)
+        return (b"\xff" * 4 * rejected + shake(data, length))[:length]
+
+    monkeypatch.setattr(threshold, "_xof", rejecting_xof)
+    count, entropy = 15, b"\x5e" * 32
+    got = threshold._sharing_matrix(entropy, 2 * N, count)
+    want = [reference_sharing_coefficients(entropy, j, count) for j in range(2 * N)]
+    assert max(lengths) > 4 * count + 64
+    assert np.array_equal(got, np.array(want, dtype=np.int64))
 
 
 def test_deal_rejects_bad_config(key_pool):
