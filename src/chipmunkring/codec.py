@@ -26,14 +26,20 @@ for every object kind.
 A public key carries its canonical bytes: keygen and the key constructor
 compute them once, decode_public_key keeps the bytes it read (with the
 mode byte set to 1, the only mode encode_public_key writes), and
-encode_public_key returns them. Key equality and hashing go by these bytes,
-so hots.transform_rows, the one cache of per-key verification work (a
-read-only (3, 512) int32 array of NTT(A), NTT(v0), NTT(v1), for at most 256
-keys), looks a key up by its bytes.
+encode_public_key returns them. Key equality and hashing go by these bytes.
+
+decode_public_key holds the one cache of per-key verification work: an LRU
+of the 256 most recently decoded keys (four rings of 64), keyed on the
+input bytes. A verifier fed ring after ring with the same decoy keys
+decodes each key once, and the PublicKey it gets back keeps its transform
+rows (hots.transform_rows: a read-only (3, 512) int32 array of NTT(A),
+NTT(v0), NTT(v1)) once the first core check has computed them. Keys
+embedded in private keys and shares are decoded through the same cache.
 """
 
 import hashlib
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,8 +180,27 @@ def encode_public_key(pk) -> bytes:
     return pk.encoded
 
 
-def decode_public_key(data: bytes):
+def decode_public_key(data):
+    """Decode a public key from any bytes-like input; see _decode_public_key.
+
+    The input is turned into bytes before the cache lookup, so a bytearray
+    or memoryview finds the entry of its bytes, and a later change to the
+    caller's buffer cannot reach the cached key.
+    """
+    if type(data) is not bytes:
+        data = bytes(memoryview(data))
+    return _decode_public_key(data)
+
+
+@lru_cache(maxsize=256)
+def _decode_public_key(data: bytes):
     """Decode a public key, keeping the bytes read as its canonical encoding.
+
+    Memoised on the input bytes for the 256 most recently used keys (four
+    rings of 64): the same bytes decode to the same immutable PublicKey,
+    which carries its transform rows once computed (hots.transform_rows).
+    Only successful decodes are stored; hostile bytes raise the same error
+    on every call.
 
     v0 and v1 are unpacked in one pass. The checks still run in the order
     of reading v0 and then v1: truncation of v0, a bad coefficient in v0,
@@ -185,15 +210,18 @@ def decode_public_key(data: bytes):
     from .polyring import Polynomial
 
     r = _Reader(data)
-    _read_header(r, KIND_PUBLIC_KEY)
+    mode = _read_header(r, KIND_PUBLIC_KEY)
     rho_seed = r.take(32)
-    body = r.data[r.pos:r.pos + 2 * POLYNOMIAL_BYTES]
+    body = data[r.pos:r.pos + 2 * POLYNOMIAL_BYTES]
     c = _unpack(body[:len(body) // POLYNOMIAL_BYTES * POLYNOMIAL_BYTES])
     r.take(POLYNOMIAL_BYTES)
     r.take(POLYNOMIAL_BYTES)
     r.expect_end()
-    # encode_public_key writes mode 1 whatever the mode byte read
-    encoded = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + r.data[HEADER_BYTES:]
+    # encode_public_key writes mode 1 whatever the mode byte read; with mode 1
+    # the key keeps the input itself, the object the cache holds as its key
+    encoded = data
+    if mode != MODE_SINGLE:
+        encoded = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + data[HEADER_BYTES:]
     return PublicKey(rho_seed=rho_seed, v0=Polynomial(coeffs=c[:N]),
                      v1=Polynomial(coeffs=c[N:]), decoded_from=encoded)
 

@@ -16,8 +16,11 @@ as a ring verifier does, can test the norm once per signature
 (norm_within_bound) and then the identity for all keys at once
 (identity_holds); verify_detail runs both in that order for a single key.
 The per-key half of that work, the transforms NTT(A), NTT(v0) and NTT(v1),
-lives in one cache, transform_rows, keyed on the key and bounded to 256
-keys (four rings of 64).
+is computed by transform_rows on a key's first core check and kept on that
+key object. The one cache of per-key work is codec.decode_public_key's LRU
+of 256 decoded keys (four rings of 64), so a verifier that sees the same
+key bytes again gets back the same key, rows included. Keys from keygen
+compute their rows only if a core check needs them; signing never does.
 
 Signatures add coordinate-wise across additive key shares, which is what
 the threshold layer builds on. Key reuse leaks information about (s0, s1);
@@ -27,7 +30,6 @@ keys only ever sign 32-byte challenge digests.
 
 import hashlib
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +55,10 @@ class PublicKey:
     decoded_from: the canonical bytes it has just decoded the fields from.
     decoded_from is not stored under its own name, so dataclasses.replace
     re-encodes from the new fields.
+
+    The transform rows that transform_rows stores on a key are not a field:
+    they take no part in equality, hashing or repr, and pickling (also
+    deepcopy) rebuilds the key from its fields and bytes without them.
     """
 
     rho_seed: bytes
@@ -73,6 +79,9 @@ class PublicKey:
 
     def __hash__(self):
         return hash(self.encoded)
+
+    def __reduce__(self):
+        return PublicKey, (self.rho_seed, self.v0, self.v1, self.encoded)
 
 
 @dataclass(frozen=True)
@@ -127,16 +136,20 @@ def norm_within_bound(sig: ChipmunkSignature, params: RingParams) -> bool:
     return infinity_norm(sig.sigma) <= params.norm_bound
 
 
-@lru_cache(maxsize=256)
 def transform_rows(pk: PublicKey) -> np.ndarray:
     """Read-only (3, n) array: NTT(A), NTT(v0) and NTT(v1) of one key.
 
-    Stored as int32 (every value is below q < 2^22), which halves the cache
-    and the per-check stack; products with int64 arrays are int64.
+    Computed on first use and stored on the key object, so it lives exactly
+    as long as the key. Stored as int32 (every value is below q < 2^22),
+    which halves the per-key memory and the per-check stack; products with
+    int64 arrays are int64.
     """
-    rows = np.stack((ntt_forward(expand_matrix(pk.rho_seed).a),
-                     ntt_forward(pk.v0), ntt_forward(pk.v1))).astype(np.int32)
-    rows.flags.writeable = False
+    rows = pk.__dict__.get("_transform_rows")
+    if rows is None:
+        rows = np.stack((ntt_forward(expand_matrix(pk.rho_seed).a),
+                         ntt_forward(pk.v0), ntt_forward(pk.v1))).astype(np.int32)
+        rows.flags.writeable = False
+        object.__setattr__(pk, "_transform_rows", rows)
     return rows
 
 

@@ -150,8 +150,10 @@ def ntt_inverse(f: np.ndarray) -> Polynomial:
 def ntt_cached(p: Polynomial) -> np.ndarray:
     """Memoized forward NTT; the returned array is read-only.
 
-    Verification does not use it: per-key transforms live in
-    hots.transform_rows, and sigma and H(c) are new on every input.
+    Verification does not use it: a key's transforms are computed by
+    hots.transform_rows and kept on the key, whose reuse across inputs is
+    bounded by codec.decode_public_key's cache of 256 keys; sigma and H(c)
+    are new on every input.
     """
     f = ntt_forward(p)
     f.flags.writeable = False

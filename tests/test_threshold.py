@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 
 from chipmunkring import hots, threshold
+from chipmunkring.acorn import linkability_tag
 from chipmunkring.errors import ByzantineShareError, ThresholdError
 from chipmunkring.params import N, Q, ZK_DOMAIN_SECRET_SHARING
 from chipmunkring.polyring import Polynomial, add, hash_to_poly, mul, scalar_mul, zero
-from chipmunkring.ringsig import Ring
+from chipmunkring.ringsig import (
+    MemberEntry,
+    Ring,
+    RingSignature,
+    VerifyReport,
+    challenge_digest,
+    core_matches,
+    ring_hash,
+)
 from chipmunkring.threshold import (
     combine,
     deal_shares,
@@ -21,6 +30,7 @@ from chipmunkring.threshold import (
     threshold_verify,
     threshold_verify_report,
     verify_signature,
+    verify_signature_report,
 )
 
 rng = random.Random(0x7412)
@@ -385,3 +395,62 @@ def test_dispatch_verifies_both_kinds(key_pool, single_params, multi_params):
     assert verify_signature(single, MSG, ring, single_params)
     tsig, tring = workflow(key_pool, multi_params, 2, 4, 4)
     assert verify_signature(tsig, MSG, tring, multi_params)
+
+
+def test_threshold_verifier_does_not_check_member_proofs(key_pool, multi_params):
+    # per-member proofs with no Acorn chain behind them, bound only by the
+    # challenge; the threshold block carries the real share proofs
+    ring = make_ring(key_pool, 4)
+    master_sk, master_pk = key_pool[0]
+    rhash = ring_hash(ring)
+    randomness = [rng.randbytes(32) for _ in range(ring.size)]
+    proofs = [rng.randbytes(multi_params.proof_size) for _ in range(ring.size)]
+    challenge = challenge_digest(MSG, rhash, zip(randomness, proofs))
+    tag = linkability_tag(rhash, MSG, challenge)
+    entries = tuple(MemberEntry(r, p, tag) for r, p in zip(randomness, proofs))
+    block = b"".join(threshold._expected_share_proof(master_pk, challenge, x, multi_params)
+                     for x in (1, 2))
+    sig = RingSignature(ring_size=ring.size, required_signers=2, challenge=challenge,
+                        per_member=entries,
+                        chipmunk_sig=hots.sign(master_sk, challenge, multi_params),
+                        threshold_zk_proofs=block)
+    assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport(True, "ok")
+    single = dataclasses.replace(sig, required_signers=1, threshold_zk_proofs=b"")
+    report = verify_signature_report(single, MSG, ring, multi_params)
+    assert (report.ok, report.reason) == (False, "acorn")
+
+
+def test_rebinding_scan_is_bounded_with_duplicate_master_keys(key_pool, multi_params,
+                                                              monkeypatch):
+    master_sk, master_pk = key_pool[0]
+    ring = Ring(members=(master_pk, key_pool[1][1], master_pk, key_pool[2][1], master_pk))
+    shares = deal_shares(master_sk, 3, 5, b"\x74" * 32)
+    challenge, _ = threshold_challenge(MSG, ring, multi_params)
+    partials = [partial_sign(shares[x - 1], challenge, multi_params) for x in (1, 3, 4)]
+    sig = combine(partials, MSG, ring, 3, multi_params)
+    assert core_matches(sig, ring, multi_params) == [0, 2, 4]
+
+    points = []
+    real = threshold.create_proof
+
+    def counted(pk, message, randomness, x, params):
+        points.append(x)
+        return real(pk, message, randomness, x, params)
+
+    monkeypatch.setattr(threshold, "create_proof", counted)
+    threshold._expected_share_proof.cache_clear()
+    assert threshold_verify_report(sig, MSG, ring, multi_params).ok
+    assert points == [1, 2, 3, 4]
+
+    for flipped in (0, len(sig.threshold_zk_proofs) - 1):
+        block = bytearray(sig.threshold_zk_proofs)
+        block[flipped] ^= 0x01
+        forged = dataclasses.replace(sig, threshold_zk_proofs=bytes(block))
+        points.clear()
+        threshold._expected_share_proof.cache_clear()
+        report = threshold_verify_report(forged, MSG, ring, multi_params)
+        assert report.reason == "threshold_acorn"
+        # one scan's worth of proofs for three matching keys, not three
+        assert len(points) <= threshold.MAX_PARTICIPANTS
+        assert sorted(set(points)) == points
+    threshold._expected_share_proof.cache_clear()
