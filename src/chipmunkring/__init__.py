@@ -3,8 +3,8 @@
 Single-signer rings prove "one of these k keys signed" with per-member
 hash commitments; (t, n)-threshold rings let any t holders of key shares
 jointly sign. See README for the security caveats that come with the
-construction (deterministic commitments, verifier-side deanonymization,
-one-time key reuse).
+construction (public keys that reveal their secret keys, deterministic
+commitments, verifier-side deanonymization, one-time key reuse).
 """
 
 from .acorn import (

@@ -23,6 +23,7 @@ import hashlib
 import struct
 
 from .params import (
+    DIGEST_SIZE,
     DOMAIN_ACORN_COMMITMENT,
     DOMAIN_ACORN_LINKABILITY,
     DOMAIN_ACORN_RANDOMNESS,
@@ -67,8 +68,8 @@ def create_proof(pk, message: bytes, randomness: bytes, participant_index: int,
     """Run the commitment chain for one participant."""
     if len(message) == 0:
         raise ValueError("message must be nonempty")
-    if len(randomness) != params.randomness_size:
-        raise ValueError(f"randomness must be {params.randomness_size} bytes")
+    if len(randomness) != DIGEST_SIZE:
+        raise ValueError(f"randomness must be {DIGEST_SIZE} bytes")
     state = (
         DOMAIN_ACORN_COMMITMENT
         + serialize_input(randomness, message, participant_index)

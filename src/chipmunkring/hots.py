@@ -22,6 +22,10 @@ of 256 decoded keys (four rings of 64), so a verifier that sees the same
 key bytes again gets back the same key, rows included. Keys from keygen
 compute their rows only if a core check needs them; signing never does.
 
+A is a single ring element, so whenever NTT(A) has no zero coefficient the
+public key alone gives s0 = A^-1 * v0 and s1 = A^-1 * v1; README "Security
+notes" and tests/test_known_breaks.py pin this break.
+
 Signatures add coordinate-wise across additive key shares, which is what
 the threshold layer builds on. Key reuse leaks information about (s0, s1);
 tracking one-time use is the caller's responsibility. In the ring protocol
@@ -34,7 +38,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import codec
-from .params import Q, RingParams, require_supported
+from .params import NORM_BOUND, Q, RingParams
 from .polyring import (
     Polynomial,
     add,
@@ -111,8 +115,10 @@ def keypair_from_secrets(rho_seed: bytes, s0: Polynomial, s1: Polynomial,
 
 
 def keygen(entropy: bytes, params: RingParams):
-    """Generate a key pair, deterministic in the 32-byte entropy input."""
-    require_supported(params)
+    """Generate a key pair, deterministic in the 32-byte entropy input.
+
+    Keys are the same in both parameter modes; params does not affect them.
+    """
     if len(entropy) != 32:
         raise ValueError("entropy must be 32 bytes")
     rho_seed = hashlib.shake_256(entropy).digest(32)
@@ -122,18 +128,16 @@ def keygen(entropy: bytes, params: RingParams):
 
 
 def sign(sk: PrivateKey, message: bytes, params: RingParams) -> ChipmunkSignature:
-    """sigma = s0 * H(M) + s1."""
-    require_supported(params)
+    """sigma = s0 * H(M) + s1; the same in both parameter modes."""
     if len(message) == 0:
         raise ValueError("message must be nonempty")
     sigma = add(mul(sk.s0, hash_to_poly(message)), sk.s1)
     return ChipmunkSignature(sigma=sigma)
 
 
-def norm_within_bound(sig: ChipmunkSignature, params: RingParams) -> bool:
-    """The key-independent half of verification: ||sigma||_inf <= norm_bound."""
-    require_supported(params)
-    return infinity_norm(sig.sigma) <= params.norm_bound
+def norm_within_bound(sig: ChipmunkSignature) -> bool:
+    """The key-independent half of verification: ||sigma||_inf <= NORM_BOUND."""
+    return infinity_norm(sig.sigma) <= NORM_BOUND
 
 
 def transform_rows(pk: PublicKey) -> np.ndarray:
@@ -172,13 +176,19 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
 
 def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
                   params: RingParams) -> str:
-    """Check a signature; returns 'ok', 'norm', or 'identity'."""
-    if not norm_within_bound(sig, params):
+    """Check a signature; returns 'ok', 'norm', or 'identity'.
+
+    The check is the same in both parameter modes; params does not affect it.
+    """
+    if not norm_within_bound(sig):
         return "norm"
     return "ok" if identity_holds((pk,), message, sig)[0] else "identity"
 
 
 def verify(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
            params: RingParams) -> bool:
-    """Accept iff the signing identity holds and sigma is within the norm bound."""
+    """Accept iff the signing identity holds and sigma is within the norm bound.
+
+    The same check in both parameter modes, as for verify_detail.
+    """
     return verify_detail(pk, message, sig, params) == "ok"

@@ -183,7 +183,6 @@ def _xof(data: bytes, length: int) -> bytes:
     return hashlib.shake_256(data).digest(length)
 
 
-@lru_cache(maxsize=512)
 def expand_matrix(seed: bytes) -> PublicMatrix:
     """Expand the public element A from a 32-byte seed.
 

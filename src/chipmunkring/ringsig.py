@@ -34,7 +34,7 @@ import numpy as np
 from . import hots
 from .acorn import create_proof, derive_randomness, linkability_tag, verify_proof
 from .errors import RingSizeError, SignerNotInRingError
-from .params import RingParams
+from .params import DIGEST_SIZE, RingParams
 
 MIN_RING = 2
 MAX_RING = 64
@@ -160,14 +160,14 @@ def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
         return f"ring_size {sig.ring_size} != ring of {ring.size}"
     if len(sig.per_member) != sig.ring_size:
         return "per-member record count mismatch"
-    if len(sig.challenge) != params.challenge_size:
+    if len(sig.challenge) != DIGEST_SIZE:
         return "challenge length mismatch"
     for i, entry in enumerate(sig.per_member):
-        if len(entry.randomness) != params.randomness_size:
+        if len(entry.randomness) != DIGEST_SIZE:
             return f"randomness length mismatch at member {i}"
         if len(entry.acorn_proof) != params.proof_size:
             return f"proof length mismatch at member {i}"
-        if len(entry.linkability) != params.linkability_tag_size:
+        if len(entry.linkability) != DIGEST_SIZE:
             return f"linkability tag length mismatch at member {i}"
     return ""
 
@@ -190,10 +190,11 @@ def core_matches(sig: RingSignature, ring: Ring, params: RingParams):
 
     The norm bound does not depend on the key, so it is checked once; the
     transform-domain identity then runs for all members as one stacked
-    (k, n) comparison, the same work whichever member signed. Internal:
+    (k, n) comparison, the same work whichever member signed. The check is
+    the same in both parameter modes; params does not affect it. Internal:
     callers expose only accept/reject, never the index.
     """
-    if not hots.norm_within_bound(sig.chipmunk_sig, params):
+    if not hots.norm_within_bound(sig.chipmunk_sig):
         return []
     held = hots.identity_holds(ring.members, sig.challenge, sig.chipmunk_sig)
     return np.flatnonzero(held).tolist()

@@ -14,7 +14,7 @@ deterministic function of (message, ring), so no state travels between
 participants beyond message, ring, and their own partial signature. The
 combined signature carries the t participant commitment proofs sorted by
 ascending x in its threshold block; verifiers rebind them by scanning x
-candidates in ascending order against each core-matching ring key.
+candidates in ascending order against the first core-matching ring key.
 """
 
 import hashlib
@@ -28,6 +28,7 @@ from . import codec, hots
 from .acorn import constant_time_eq, create_proof, derive_randomness
 from .errors import ByzantineShareError, ThresholdError
 from .params import (
+    DIGEST_SIZE,
     DOMAIN_COORDINATION,
     DOMAIN_SIGNATURE_ZK,
     N,
@@ -122,41 +123,22 @@ def share_scalar(secret, rand_coeffs, xs, q: int = Q):
 _SHARE_LIMIT = (1 << 32) // Q * Q  # largest multiple of q below 2^32
 
 
-def _sharing_coefficients(entropy: bytes, index: int, count: int):
-    """count random Z_q values for one sharing polynomial, rejection-sampled."""
-    if count == 0:
-        return []
-    data = ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", index)
-    length = 4 * count + 64
-    buf = _xof(data, length)
-    out = []
-    pos = 0
-    while len(out) < count:
-        if pos + 4 > len(buf):
-            length *= 2
-            buf = _xof(data, length)
-        word = int.from_bytes(buf[pos:pos + 4], "little")
-        pos += 4
-        if word < _SHARE_LIMIT:
-            out.append(word % Q)
-    return out
-
-
 def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
-    """(rows, count) int64 array; row j is _sharing_coefficients(entropy, j, count).
+    """(rows, count) int64 array of random Z_q values; row j is one sharing
+    polynomial's coefficients.
 
-    Each row keeps its own SHAKE stream, read at _sharing_coefficients'
-    first length, and the words of all rows are filtered in one pass. A row
-    with fewer than count accepted words there (at least 17 of its
-    count + 16 words rejected, each with probability about 2^-11) takes the
-    scalar loop, which reads further.
+    Row j reads its own SHAKE stream as 4-byte little-endian words and keeps
+    the first count below the largest multiple of q under 2^32, reduced mod
+    q. All streams are read at one length and filtered in one pass. A row
+    short of count words there (at least 17 of its count + 16 words
+    rejected, each with probability about 2^-11) is read again at twice the
+    length, which extends its stream, until it has count.
     """
-    prefix = ZK_DOMAIN_SECRET_SHARING + entropy
+    streams = [ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", j)
+               for j in range(rows)]
     length = 4 * count + 64
-    words = np.frombuffer(
-        b"".join(_xof(prefix + struct.pack("<I", j), length) for j in range(rows)),
-        dtype="<u4",
-    ).reshape(rows, -1)
+    words = np.frombuffer(b"".join(_xof(data, length) for data in streams),
+                          dtype="<u4").reshape(rows, -1)
     kept = words < _SHARE_LIMIT
     rank = np.cumsum(kept, axis=1)
     full = rank[:, -1] >= count
@@ -164,7 +146,12 @@ def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
     picked = words[kept & (rank <= count) & full[:, None]] % Q
     out[full] = picked.reshape(np.count_nonzero(full), count)
     for j in np.flatnonzero(~full):
-        out[j] = _sharing_coefficients(entropy, int(j), count)
+        size, row = length, words[j][kept[j]]
+        while len(row) < count:
+            size *= 2
+            row = np.frombuffer(_xof(streams[j], size), dtype="<u4")
+            row = row[row < _SHARE_LIMIT]
+        out[j] = row[:count] % Q
     return out
 
 
@@ -199,7 +186,6 @@ def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
     )
 
 
-@lru_cache(maxsize=256)
 def share_randomness_seed(pk: hots.PublicKey, participant_x: int) -> bytes:
     """Deterministic share-bound seed for a participant's commitment."""
     data = (
@@ -238,8 +224,8 @@ def threshold_challenge(message: bytes, ring: Ring, params: RingParams):
 
 def partial_sign(share: KeyShare, challenge: bytes, params: RingParams) -> PartialSignature:
     """One participant's signature share and commitment on a challenge."""
-    if len(challenge) != params.challenge_size:
-        raise ValueError(f"challenge must be {params.challenge_size} bytes")
+    if len(challenge) != DIGEST_SIZE:
+        raise ValueError(f"challenge must be {DIGEST_SIZE} bytes")
     sigma_share = add(mul(share.s0_share, hash_to_poly(challenge)), share.s1_share)
     proof = _expected_share_proof(share.pk, challenge, share.participant_x, params)
     return PartialSignature(
@@ -325,10 +311,13 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
     core signature and block, are accepted here, while the same records
     with required_signers = 1 are rejected with reason "acorn".
 
-    The rebinding scan computes each expected participant proof at most
-    once per (key, challenge, x): _expected_share_proof is memoised, so a
-    ring that lists the master key several times costs at most
-    MAX_PARTICIPANTS proof chains, not that many per listing.
+    The block is rebound only to the first core-matching ring key, the key
+    combine binds it to, so one verification costs at most MAX_PARTICIPANTS
+    proof chains whatever the ring holds. A ring may list the master key
+    several times, or hold distinct keys built from one secret pair
+    (hots.keypair_from_secrets with another rho_seed), which all match the
+    core signature; a block bound to any matching key but the first is
+    rejected with "threshold_acorn". combine never produces one.
     """
     if sig.required_signers <= 1:
         return VerifyReport(False, "structural", "required_signers must exceed 1")
@@ -352,11 +341,11 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
         return VerifyReport(False, "core", "core signature matches no ring key")
     p = params.proof_size
     proofs = [sig.threshold_zk_proofs[i * p:(i + 1) * p] for i in range(t)]
-    for j in masters:
-        if _match_proofs_ascending(proofs, ring.members[j], sig.challenge, params):
-            return VerifyReport(True, "ok")
-    return VerifyReport(False, "threshold_acorn",
-                        "embedded participant proofs do not verify")
+    if not _match_proofs_ascending(proofs, ring.members[masters[0]], sig.challenge,
+                                   params):
+        return VerifyReport(False, "threshold_acorn",
+                            "embedded participant proofs do not verify")
+    return VerifyReport(True, "ok")
 
 
 def threshold_verify(sig: RingSignature, message: bytes, ring: Ring,

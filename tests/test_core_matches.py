@@ -33,7 +33,7 @@ def oracle_matches(sig, ring, params):
     sigma, h = sig.chipmunk_sig.sigma, hash_to_poly(sig.challenge)
     return [
         j for j, pk in enumerate(ring.members)
-        if infinity_norm(sigma) <= params.norm_bound
+        if infinity_norm(sigma) <= NORM_BOUND
         and mul(expand_matrix(pk.rho_seed).a, sigma) == add(mul(pk.v0, h), pk.v1)
     ]
 

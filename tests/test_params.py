@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -11,16 +12,12 @@ def test_preset_single():
     p = preset("single")
     assert p.proof_size == 64
     assert p.iterations == 100
-    assert p.n == 512
-    assert p.q == 3168257
 
 
 def test_preset_multi():
     p = preset("multi")
     assert p.proof_size == 96
     assert p.iterations == 1000
-    assert p.n == 512
-    assert p.q == 3168257
 
 
 def test_preset_unknown_mode():
@@ -28,30 +25,46 @@ def test_preset_unknown_mode():
         preset("enterprise")
 
 
-def test_presets_are_built_once(monkeypatch):
+def test_presets_are_built_once():
     assert preset("single") == RingParams(proof_size=64, iterations=100)
-    # a call validates nothing again: q's primality test is not rerun
-    monkeypatch.setattr(params, "_is_prime", lambda n: False)
     for mode in ("single", "multi"):
         assert preset(mode) is preset(mode)
 
 
 def test_modulus_congruence():
-    # 3094 * 1024 = 3,168,256, so q = 3,168,257 is 1 mod 1024
+    # 3094 * 1024 = 3,168,256, so q = 3,168,257 is 1 mod 2n = 1024
     assert 3094 * 1024 == 3168256
-    for mode in ("single", "multi"):
-        assert preset(mode).q % 1024 == 1
+    assert params.N == 512
+    assert params.Q % (2 * params.N) == 1
+    assert all(params.Q % d for d in range(2, math.isqrt(params.Q) + 1))  # prime
+
+
+def test_fields_are_the_mode_differences():
+    names = [f.name for f in dataclasses.fields(RingParams)]
+    assert names == ["proof_size", "iterations"]
 
 
 def test_nonprime_q_rejected():
-    # 2049 = 3 * 683 satisfies the congruence but is composite
-    with pytest.raises(ParameterError):
+    # 2049 = 3 * 683 satisfies the congruence but is composite; q is not a
+    # field, so no parameter set with it can be built
+    with pytest.raises(TypeError):
         RingParams(q=2049)
+    assert params.Q != 2049
 
 
 def test_wrong_congruence_rejected():
-    with pytest.raises(ParameterError):
-        RingParams(q=7)  # prime, but 7 != 1 mod 1024
+    # 7 is prime, but 7 != 1 mod 1024
+    with pytest.raises(TypeError):
+        RingParams(q=7)
+    assert params.Q % (2 * params.N) == 1
+
+
+@pytest.mark.parametrize("field", ["n", "sigma", "randomness_size", "challenge_size",
+                                   "linkability_tag_size", "norm_bound"])
+def test_fixed_values_are_not_settable(field):
+    # the ring, its bounds and the digest lengths are params constants
+    with pytest.raises(TypeError):
+        RingParams(**{field: 1})
 
 
 def test_bad_proof_size_rejected():
@@ -64,16 +77,6 @@ def test_bad_iterations_rejected():
         RingParams(iterations=0)
     with pytest.raises(ParameterError):
         RingParams(iterations=10001)
-
-
-def test_bad_sigma_rejected():
-    with pytest.raises(ParameterError):
-        RingParams(sigma=0.0)
-
-
-def test_bad_randomness_size_rejected():
-    with pytest.raises(ParameterError):
-        RingParams(randomness_size=16)
 
 
 def test_params_immutable():
@@ -103,4 +106,4 @@ def test_domain_tags_pairwise_distinct():
 
 def test_norm_bound_value():
     # 2 * hash weight * secret tail cut
-    assert preset("single").norm_bound == 2 * 64 * 4 == 512
+    assert params.NORM_BOUND == 2 * 64 * 4 == 512

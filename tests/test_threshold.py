@@ -114,7 +114,7 @@ def reference_deal(sk, t, n, entropy):
     master = [int(c) for c in sk.s0.coeffs] + [int(c) for c in sk.s1.coeffs]
     rows = {x: [] for x in range(1, n + 1)}
     for j, secret in enumerate(master):
-        rand_coeffs = threshold._sharing_coefficients(entropy, j, t - 1)
+        rand_coeffs = reference_sharing_coefficients(entropy, j, t - 1)
         for x in rows:
             acc = 0
             for c in reversed(rand_coeffs):
@@ -453,4 +453,45 @@ def test_rebinding_scan_is_bounded_with_duplicate_master_keys(key_pool, multi_pa
         # one scan's worth of proofs for three matching keys, not three
         assert len(points) <= threshold.MAX_PARTICIPANTS
         assert sorted(set(points)) == points
+    threshold._expected_share_proof.cache_clear()
+
+
+def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeypatch):
+    # distinct keys from one secret pair, each with its own rho_seed: all of
+    # them meet the core identity for the same sigma
+    secret = key_pool[5][0]
+    clones = [hots.keypair_from_secrets(bytes([0xC0 + i]) * 32, secret.s0, secret.s1)
+              for i in range(8)]
+    ring = Ring(members=(key_pool[6][1], *(pk for _, pk in clones), key_pool[7][1]))
+    shares = deal_shares(clones[0][0], 2, 3, b"\x75" * 32)
+    challenge, _ = threshold_challenge(MSG, ring, multi_params)
+    partials = [partial_sign(shares[x - 1], challenge, multi_params) for x in (1, 3)]
+    sig = combine(partials, MSG, ring, 2, multi_params)
+    assert core_matches(sig, ring, multi_params) == list(range(1, 9))
+    # combine binds the block to the first clone, and the verifier accepts it
+    assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport(True, "ok")
+
+    # the same points bound to the second clone: combine never builds this,
+    # and the verifier rebinds only to the first matching key
+    block = b"".join(threshold._expected_share_proof(clones[1][1], challenge, x,
+                                                     multi_params) for x in (1, 3))
+    second = dataclasses.replace(sig, threshold_zk_proofs=block)
+    assert threshold_verify_report(second, MSG, ring, multi_params).reason == "threshold_acorn"
+
+    points = []
+    real = threshold.create_proof
+
+    def counted(pk, message, randomness, x, params):
+        points.append(x)
+        return real(pk, message, randomness, x, params)
+
+    monkeypatch.setattr(threshold, "create_proof", counted)
+    flipped = bytearray(sig.threshold_zk_proofs)
+    flipped[0] ^= 0x01
+    forged = dataclasses.replace(sig, threshold_zk_proofs=bytes(flipped))
+    threshold._expected_share_proof.cache_clear()
+    report = threshold_verify_report(forged, MSG, ring, multi_params)
+    assert report.reason == "threshold_acorn"
+    # one scan against one key, not one per clone
+    assert len(points) <= threshold.MAX_PARTICIPANTS
     threshold._expected_share_proof.cache_clear()
