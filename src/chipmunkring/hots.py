@@ -16,10 +16,11 @@ as a ring verifier does, can test the norm once per signature
 (norm_within_bound) and then the identity for all keys at once
 (identity_holds); verify_detail runs both in that order for a single key.
 The per-key half of that work, the transforms NTT(A), NTT(v0) and NTT(v1),
-is computed by transform_rows on a key's first core check and kept on that
-key object. The one cache of per-key work is codec.decode_public_key's LRU
-of 256 decoded keys (four rings of 64), so a verifier that sees the same
-key bytes again gets back the same key, rows included. Keys from keygen
+is computed on a key's first core check, in one batched transform for all
+the keys of that check that lack it, and each key keeps its own copy.
+The one cache of per-key work is codec.decode_public_key's LRU of 256
+decoded keys (four rings of 64), so a verifier that sees the same key
+bytes again gets back the same key, rows included. Keys from keygen
 compute their rows only if a core check needs them; signing never does.
 
 A is a single ring element, so whenever NTT(A) has no zero coefficient the
@@ -47,6 +48,7 @@ from .polyring import (
     infinity_norm,
     mul,
     ntt_forward,
+    ntt_inverse,
     sample_secret,
 )
 
@@ -107,8 +109,9 @@ def keypair_from_secrets(rho_seed: bytes, s0: Polynomial, s1: Polynomial,
     """Build a key pair from explicit secrets (deterministic low-level path)."""
     if len(rho_seed) != 32:
         raise ValueError("rho_seed must be 32 bytes")
-    a = expand_matrix(rho_seed).a
-    pk = PublicKey(rho_seed=rho_seed, v0=mul(a, s0), v1=mul(a, s1))
+    f = ntt_forward(np.stack((expand_matrix(rho_seed).a.coeffs, s0.coeffs, s1.coeffs)))
+    v0, v1 = ntt_inverse(f[0] * f[1:] % Q)  # A*s0 and A*s1 in one inverse
+    pk = PublicKey(rho_seed=rho_seed, v0=Polynomial(coeffs=v0), v1=Polynomial(coeffs=v1))
     tr = hashlib.sha3_384(pk.encoded).digest()
     sk = PrivateKey(seed=seed, tr=tr, s0=s0, s1=s1, pk=pk)
     return sk, pk
@@ -140,6 +143,29 @@ def norm_within_bound(sig: ChipmunkSignature) -> bool:
     return infinity_norm(sig.sigma) <= NORM_BOUND
 
 
+def _give_rows(pks) -> None:
+    """Store transform rows on every key in pks that has none yet.
+
+    All such keys are transformed in one ntt_forward call over a (k, 3, n)
+    array. Each key then gets its own read-only int32 copy of its rows,
+    never a view, which would keep the whole batch alive for as long as
+    any one key lives in the decode memo. Equal keys share one copy.
+    """
+    todo = {}
+    for pk in pks:
+        if "_transform_rows" not in pk.__dict__:
+            todo.setdefault(pk, []).append(pk)
+    if not todo:
+        return
+    f = ntt_forward(np.stack([(expand_matrix(pk.rho_seed).a.coeffs, pk.v0.coeffs,
+                               pk.v1.coeffs) for pk in todo]))
+    for batch_rows, same in zip(f, todo.values()):
+        rows = batch_rows.astype(np.int32)  # a copy
+        rows.flags.writeable = False
+        for pk in same:
+            object.__setattr__(pk, "_transform_rows", rows)
+
+
 def transform_rows(pk: PublicKey) -> np.ndarray:
     """Read-only (3, n) array: NTT(A), NTT(v0) and NTT(v1) of one key.
 
@@ -148,13 +174,8 @@ def transform_rows(pk: PublicKey) -> np.ndarray:
     which halves the per-key memory and the per-check stack; products with
     int64 arrays are int64.
     """
-    rows = pk.__dict__.get("_transform_rows")
-    if rows is None:
-        rows = np.stack((ntt_forward(expand_matrix(pk.rho_seed).a),
-                         ntt_forward(pk.v0), ntt_forward(pk.v1))).astype(np.int32)
-        rows.flags.writeable = False
-        object.__setattr__(pk, "_transform_rows", rows)
-    return rows
+    _give_rows((pk,))
+    return pk._transform_rows
 
 
 def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
@@ -162,13 +183,16 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     key in pks at once: a boolean array of len(pks).
 
     Compared pointwise in the transform domain: the NTT is a bijection, so
-    this is the same predicate without the inverse transforms. sigma and
-    H(M) are transformed once per call; every key costs the same work.
+    this is the same predicate without the inverse transforms. Keys without
+    rows are transformed together in one batch; sigma and H(M) together in
+    one (2, n) call. Every key costs the same work.
     """
-    rows = np.stack([transform_rows(pk) for pk in pks])  # (k, 3, n)
-    lhs = rows[:, 0] * ntt_forward(sig.sigma)
+    _give_rows(pks)
+    rows = np.stack([pk._transform_rows for pk in pks])  # (k, 3, n)
+    f = ntt_forward(np.stack((sig.sigma.coeffs, hash_to_poly(message).coeffs)))
+    lhs = rows[:, 0] * f[0]
     lhs %= Q
-    rhs = rows[:, 1] * ntt_forward(hash_to_poly(message))
+    rhs = rows[:, 1] * f[1]
     rhs += rows[:, 2]
     rhs %= Q
     return (lhs == rhs).all(axis=1)

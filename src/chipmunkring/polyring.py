@@ -6,7 +6,14 @@ copies its input (any integer sequence or array), writing to p.coeffs
 raises ValueError, and equality and hashing go by value, as the memoized
 functions here and key lookups in rings need.
 
-Negacyclic multiplication runs through a length-512 NTT; sampling and
+Negacyclic multiplication runs through a length-512 NTT. ntt_forward and
+ntt_inverse each take an int64 array of shape (..., 512) with values in
+[0, q) and transform every row at once, so a caller with several
+polynomials stacks them and pays the nine stages' per-call overhead once;
+a lone polynomial is the (512,) case. Reduction is lazy (Longa and
+Naehrig, CANS 2016): a stage reduces only its twiddle product, forward
+values stay below 10q < 2^26 and products below 2^48, and one final % q
+restores [0, q); each kernel states its own bounds. Sampling and
 hash-to-polynomial are deterministic SHAKE256 expansions. Every function
 here is pure, so unrestricted concurrent use is safe.
 """
@@ -110,52 +117,78 @@ _W.flags.writeable = False
 _N_INV = pow(N, Q - 2, Q)
 
 
-def ntt_forward(p: Polynomial) -> np.ndarray:
-    """Forward negacyclic NTT; returns a fresh int64 array of length n."""
-    f = p.coeffs.copy()
+def ntt_forward(a: np.ndarray) -> np.ndarray:
+    """Forward negacyclic NTT of every length-n row of a (..., n) array.
+
+    Coefficients must lie in [0, q). Returns a fresh int64 array of the same
+    shape, each value in [0, q); a lone polynomial is the (n,) case. The
+    input is not modified.
+    """
+    f = np.array(a, dtype=np.int64)
+    lead = f.shape[:-1]
+    # Lazy reduction: only the twiddle product is reduced. A stage maps
+    # values below b to x + y and x + (q - y), below b + q, so the nine
+    # stages keep every value below 10q < 2^26 and every product t * z
+    # below 9q * q < 2^48; int64 never overflows. One % q ends it.
     l = N // 2
     wi = 1
     while l > 0:
         nb = N // (2 * l)
-        z = _W[wi:wi + nb]
+        z = _W[wi:wi + nb, None]
         wi += nb
-        fv = f.reshape(nb, 2, l)
-        x = fv[:, 0, :].copy()
-        y = (fv[:, 1, :] * z[:, None]) % Q
-        fv[:, 0, :] = (x + y) % Q
-        fv[:, 1, :] = (x - y) % Q
+        v = f.reshape(*lead, nb, 2, l)
+        x, t = v[..., 0, :], v[..., 1, :]
+        y = t * z
+        y %= Q
+        np.subtract(x, y, out=t)
+        t += Q
+        x += y
         l >>= 1
+    f %= Q
     return f
 
 
-def ntt_inverse(f: np.ndarray) -> Polynomial:
-    """Inverse negacyclic NTT of a length-n int64 array."""
-    g = np.array(f, dtype=np.int64)
+def ntt_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of ntt_forward on every length-n row of a (..., n) array.
+
+    Values must lie in [0, q). Returns a fresh int64 array of the same
+    shape, each coefficient in [0, q). The input is not modified.
+    """
+    g = np.array(a, dtype=np.int64)
+    lead = g.shape[:-1]
+    # Lazy reduction: only the twiddle product is reduced. A stage maps
+    # values below b to x + y, below 2b, and to ((y - x) * z) % q, below q,
+    # where |y - x| < b; so after s stages every value is below 2^s q. The
+    # largest product, in the ninth stage, is below 2^8 q * q < 2^52; the
+    # values end below 2^9 q, so times n^-1 < q they stay below 2^53.
     l = 1
     wi = N
     while l < N:
         nb = N // (2 * l)
-        z = _W[wi - nb:wi][::-1]
+        z = _W[wi - nb:wi][::-1, None]
         wi -= nb
-        gv = g.reshape(nb, 2, l)
-        x = gv[:, 0, :].copy()
-        y = gv[:, 1, :].copy()
-        gv[:, 0, :] = (x + y) % Q
-        gv[:, 1, :] = (z[:, None] * (y - x)) % Q
+        v = g.reshape(*lead, nb, 2, l)
+        x, y = v[..., 0, :], v[..., 1, :]
+        d = y - x
+        x += y
+        np.multiply(d, z, out=y)
+        y %= Q
         l <<= 1
-    return Polynomial(coeffs=(g * _N_INV) % Q)
+    g *= _N_INV
+    g %= Q
+    return g
 
 
 @lru_cache(maxsize=4096)
 def ntt_cached(p: Polynomial) -> np.ndarray:
-    """Memoized forward NTT; the returned array is read-only.
+    """Memoized ntt_forward of one polynomial: a read-only (n,) int64 array.
 
-    Verification does not use it: a key's transforms are computed by
-    hots.transform_rows and kept on the key, whose reuse across inputs is
-    bounded by codec.decode_public_key's cache of 256 keys; sigma and H(c)
-    are new on every input.
+    Verification does not use it: hots.identity_holds transforms every ring
+    key that lacks rows in one ntt_forward call over a (k, 3, n) array and
+    keeps each key's rows on the key; sigma and H(c) are new on every
+    input and are transformed together as one (2, n) array.
     """
-    f = ntt_forward(p)
+    f = ntt_forward(p.coeffs)
     f.flags.writeable = False
     return f
 
@@ -172,9 +205,8 @@ def scalar_mul(c: int, p: Polynomial) -> Polynomial:
 
 def mul(p: Polynomial, r: Polynomial) -> Polynomial:
     """Negacyclic product in Z_q[X]/(X^n + 1)."""
-    ft = ntt_forward(p)
-    gt = ntt_forward(r)
-    return ntt_inverse((ft * gt) % Q)
+    f = ntt_forward(np.stack((p.coeffs, r.coeffs)))
+    return Polynomial(coeffs=ntt_inverse(f[0] * f[1] % Q))
 
 
 #   Deterministic SHAKE256 expansions.

@@ -185,14 +185,14 @@ def check_linkability(sig: RingSignature, message: bytes, rhash: bytes) -> bool:
     return ok
 
 
-def core_matches(sig: RingSignature, ring: Ring, params: RingParams):
+def core_matches(sig: RingSignature, ring: Ring):
     """Indices of ring members whose key verifies the core signature.
 
     The norm bound does not depend on the key, so it is checked once; the
     transform-domain identity then runs for all members as one stacked
     (k, n) comparison, the same work whichever member signed. The check is
-    the same in both parameter modes; params does not affect it. Internal:
-    callers expose only accept/reject, never the index.
+    the same in both parameter modes. Internal: callers expose only
+    accept/reject, never the index.
     """
     if not hots.norm_within_bound(sig.chipmunk_sig):
         return []
@@ -221,7 +221,7 @@ def ring_verify_report(sig: RingSignature, message: bytes, ring: Ring,
         return VerifyReport(False, "acorn", "no valid per-member proof")
     if not check_linkability(sig, message, rhash):
         return VerifyReport(False, "linkability", "linkability tag mismatch")
-    if not core_matches(sig, ring, params):
+    if not core_matches(sig, ring):
         return VerifyReport(False, "core", "core signature matches no ring key")
     return VerifyReport(True, "ok")
 

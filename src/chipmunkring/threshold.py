@@ -259,9 +259,8 @@ def combine(partials, message: bytes, ring: Ring, t: int,
         combined = add(combined, scalar_mul(L, part.sigma_share))
     core = hots.ChipmunkSignature(sigma=combined)
 
-    masters = core_matches(
-        RingSignature(ring.size, t, challenge, entries, core, b""), ring, params
-    )
+    masters = core_matches(RingSignature(ring.size, t, challenge, entries, core, b""),
+                           ring)
     if not masters:
         raise ByzantineShareError(
             "combined signature verifies under no ring key; a share is corrupt"
@@ -336,7 +335,7 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
         )
     if not check_linkability(sig, message, rhash):
         return VerifyReport(False, "linkability", "linkability tag mismatch")
-    masters = core_matches(sig, ring, params)
+    masters = core_matches(sig, ring)
     if not masters:
         return VerifyReport(False, "core", "core signature matches no ring key")
     p = params.proof_size

@@ -7,6 +7,7 @@ domain: ||sigma|| <= bound and A*sigma == v0*H(c) + v1. Both must name the
 same members, and so must hots.verify called once per member.
 """
 
+import pickle
 import random
 
 import pytest
@@ -45,7 +46,7 @@ def core_signature(challenge, core):
 
 
 def check(sig, ring, params, expected):
-    got = core_matches(sig, ring, params)
+    got = core_matches(sig, ring)
     assert got == expected
     assert got == oracle_matches(sig, ring, params)
     assert got == [j for j, pk in enumerate(ring.members)
@@ -102,9 +103,40 @@ def test_transform_rows(key_pool):
     pk = key_pool[9][1]
     rows = hots.transform_rows(pk)
     assert rows.shape == (3, 512) and not rows.flags.writeable
-    want = [ntt_forward(expand_matrix(pk.rho_seed).a), ntt_forward(pk.v0), ntt_forward(pk.v1)]
+    want = [ntt_forward(expand_matrix(pk.rho_seed).a.coeffs), ntt_forward(pk.v0.coeffs),
+            ntt_forward(pk.v1.coeffs)]
     assert np.array_equal(rows, np.stack(want))
     # kept on the key, and decoding the same bytes again returns that key
     decoded = hots.transform_rows(codec.decode_public_key(pk.encoded))
     assert decoded is hots.transform_rows(codec.decode_public_key(pk.encoded))
     assert np.array_equal(decoded, rows)
+
+
+def test_rows_of_one_batch_are_separate_copies(key_pool, single_params, monkeypatch):
+    # pickling drops the rows, so these keys have none until the check below
+    a, b = (pickle.loads(pickle.dumps(key_pool[i][1])) for i in (10, 11))
+    a_again = pickle.loads(pickle.dumps(a))
+    assert "_transform_rows" not in a.__dict__ and "_transform_rows" not in b.__dict__
+
+    shapes = []
+    real = hots.ntt_forward
+
+    def counted(x):
+        shapes.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(hots, "ntt_forward", counted)
+    challenge = rng.randbytes(32)
+    sig = hots.sign(key_pool[10][0], challenge, single_params)
+    held = hots.identity_holds((a, b, a, a_again), challenge, sig)
+    assert held.tolist() == [True, False, True, True]
+    # one transform for the keys (equal keys once), one for sigma and H(c)
+    assert shapes == [(2, 3, 512), (2, 512)]
+
+    ra, rb = hots.transform_rows(a), hots.transform_rows(b)
+    assert not np.shares_memory(ra, rb)
+    assert ra.flags.owndata and rb.flags.owndata  # not views of the batch
+    assert not ra.flags.writeable and not rb.flags.writeable
+    assert hots.transform_rows(a_again) is ra
+    assert np.array_equal(ra, hots.transform_rows(key_pool[10][1]))
+    assert np.array_equal(rb, hots.transform_rows(key_pool[11][1]))

@@ -14,15 +14,16 @@ import numpy as np
 
 from chipmunkring import hots
 from chipmunkring.params import Q
-from chipmunkring.polyring import expand_matrix, ntt_forward, ntt_inverse
+from chipmunkring.polyring import Polynomial, expand_matrix, ntt_forward, ntt_inverse
 from chipmunkring.ringsig import Ring, ring_sign, ring_verify
 
 
 def recover_secrets(pk):
-    a_hat = ntt_forward(expand_matrix(pk.rho_seed).a)
+    a_hat = ntt_forward(expand_matrix(pk.rho_seed).a.coeffs)
     assert np.all(a_hat != 0)  # A is a unit of R_q
     a_inv = np.array([pow(int(x), Q - 2, Q) for x in a_hat], dtype=np.int64)
-    return tuple(ntt_inverse(ntt_forward(v) * a_inv % Q) for v in (pk.v0, pk.v1))
+    return tuple(Polynomial(coeffs=ntt_inverse(ntt_forward(v.coeffs) * a_inv % Q))
+                 for v in (pk.v0, pk.v1))
 
 
 def test_public_key_reveals_the_secret_key(key_pool, single_params):

@@ -51,6 +51,23 @@ def convolve_mul(f, g):
     return ((t[:N] - t[N:2 * N]) % Q).tolist()
 
 
+@pytest.fixture(scope="module")
+def ntt_matrices():
+    """The transform from its definition, one (n, n) matrix each way.
+
+    Output i of ntt_forward is f evaluated at psi^(2 * bitrev(i) + 1), so
+    the forward transform is one matrix product, and the inverse is the
+    inverse Vandermonde matrix n^-1 * r^-j. Exact in int64: a row sums 512
+    products below q^2 < 2^44.
+    """
+    roots = [pow(polyring.PSI, 2 * int(f"{i:09b}"[::-1], 2) + 1, Q) for i in range(N)]
+    n_inv = pow(N, -1, Q)
+    forward = np.array([[pow(r, j, Q) for j in range(N)] for r in roots], dtype=np.int64)
+    inverse = np.array([[n_inv * pow(r, -j, Q) % Q for r in roots] for j in range(N)],
+                       dtype=np.int64)
+    return forward, inverse
+
+
 def test_polynomial_validation():
     with pytest.raises(ValueError, match=rf"^polynomial needs {N} coefficients, got {N - 1}$"):
         Polynomial(coeffs=(0,) * (N - 1))
@@ -122,7 +139,30 @@ def test_mul_matches_convolution_oracle():
 def test_ntt_roundtrip_1000():
     for _ in range(1000):
         p = random_poly()
-        assert ntt_inverse(ntt_forward(p)) == p
+        assert Polynomial(coeffs=ntt_inverse(ntt_forward(p.coeffs))) == p
+
+
+def per_row(transform, a):
+    return np.stack([transform(row) for row in a.reshape(-1, N)]).reshape(a.shape)
+
+
+@pytest.mark.parametrize("shape", [(N,), (3, N), (64, 3, N)])
+def test_batched_ntt_matches_per_row(ntt_matrices, shape):
+    forward, inverse = ntt_matrices
+    nprng = np.random.default_rng(len(shape))
+    # all q - 1 gives the largest lazy intermediates in both directions
+    for a in (nprng.integers(0, Q, size=shape), np.zeros(shape, dtype=np.int64),
+              np.full(shape, Q - 1, dtype=np.int64)):
+        before = a.copy()
+        f, g = ntt_forward(a), ntt_inverse(a)
+        assert f.shape == g.shape == shape and f.dtype == g.dtype == np.int64
+        assert np.array_equal(f, per_row(ntt_forward, a))
+        assert np.array_equal(f, per_row(lambda row: forward @ row % Q, a))
+        assert np.array_equal(g, per_row(ntt_inverse, a))
+        assert np.array_equal(g, per_row(lambda row: inverse @ row % Q, a))
+        assert np.array_equal(ntt_inverse(f), a)
+        assert np.array_equal(ntt_forward(g), a)
+        assert np.array_equal(a, before)
 
 
 def test_ring_laws():

@@ -211,3 +211,36 @@ def test_challenge_binding_fuzz(key_pool, single_params, k):
             mutated_ring = Ring(members=(mutated_pk,) + ring.members[1:])
             report = ring_verify_report(sig, MSG, mutated_ring, single_params)
             assert not report.ok and report.reason == "challenge"
+
+
+def test_hostile_verify_is_bounded_by_ring_size(key_pool, single_params, monkeypatch):
+    # every proof is garbage, yet the challenge, the tags and the core
+    # signature are all consistent with them: only the Acorn scan can reject,
+    # and it runs each member's chain at most once
+    from chipmunkring import acorn, hots
+
+    k = 64
+    ring = make_ring(key_pool, k)
+    sig = ring_sign(key_pool[5][0], 5, MSG, ring, ENTROPY, single_params)
+    proofs = [bytes(b ^ 0xA5 for b in e.acorn_proof) for e in sig.per_member]
+    rhash = ring_hash(ring)
+    challenge = ringsig.challenge_digest(
+        MSG, rhash, zip((e.randomness for e in sig.per_member), proofs))
+    tag = acorn.linkability_tag(rhash, MSG, challenge)
+    entries = tuple(dataclasses.replace(e, acorn_proof=p, linkability=tag)
+                    for e, p in zip(sig.per_member, proofs))
+    hostile = dataclasses.replace(
+        sig, challenge=challenge, per_member=entries,
+        chipmunk_sig=hots.sign(key_pool[5][0], challenge, single_params))
+
+    chains = []
+    real = acorn.create_proof
+
+    def counted(pk, message, randomness, index, params):
+        chains.append(index)
+        return real(pk, message, randomness, index, params)
+
+    monkeypatch.setattr(acorn, "create_proof", counted)
+    report = ring_verify_report(hostile, MSG, ring, single_params)
+    assert report == ringsig.VerifyReport(False, "acorn", "no valid per-member proof")
+    assert len(chains) <= k

@@ -428,7 +428,7 @@ def test_rebinding_scan_is_bounded_with_duplicate_master_keys(key_pool, multi_pa
     challenge, _ = threshold_challenge(MSG, ring, multi_params)
     partials = [partial_sign(shares[x - 1], challenge, multi_params) for x in (1, 3, 4)]
     sig = combine(partials, MSG, ring, 3, multi_params)
-    assert core_matches(sig, ring, multi_params) == [0, 2, 4]
+    assert core_matches(sig, ring) == [0, 2, 4]
 
     points = []
     real = threshold.create_proof
@@ -467,7 +467,7 @@ def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeyp
     challenge, _ = threshold_challenge(MSG, ring, multi_params)
     partials = [partial_sign(shares[x - 1], challenge, multi_params) for x in (1, 3)]
     sig = combine(partials, MSG, ring, 2, multi_params)
-    assert core_matches(sig, ring, multi_params) == list(range(1, 9))
+    assert core_matches(sig, ring) == list(range(1, 9))
     # combine binds the block to the first clone, and the verifier accepts it
     assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport(True, "ok")
 
