@@ -109,7 +109,7 @@ def keypair_from_secrets(rho_seed: bytes, s0: Polynomial, s1: Polynomial,
     """Build a key pair from explicit secrets (deterministic low-level path)."""
     if len(rho_seed) != 32:
         raise ValueError("rho_seed must be 32 bytes")
-    f = ntt_forward(np.stack((expand_matrix(rho_seed).a.coeffs, s0.coeffs, s1.coeffs)))
+    f = ntt_forward((expand_matrix(rho_seed).a.coeffs, s0.coeffs, s1.coeffs))
     v0, v1 = ntt_inverse(f[0] * f[1:] % Q)  # A*s0 and A*s1 in one inverse
     pk = PublicKey(rho_seed=rho_seed, v0=Polynomial(coeffs=v0), v1=Polynomial(coeffs=v1))
     tr = hashlib.sha3_384(pk.encoded).digest()
@@ -157,8 +157,8 @@ def _give_rows(pks) -> None:
             todo.setdefault(pk, []).append(pk)
     if not todo:
         return
-    f = ntt_forward(np.stack([(expand_matrix(pk.rho_seed).a.coeffs, pk.v0.coeffs,
-                               pk.v1.coeffs) for pk in todo]))
+    f = ntt_forward([(expand_matrix(pk.rho_seed).a.coeffs, pk.v0.coeffs, pk.v1.coeffs)
+                     for pk in todo])
     for batch_rows, same in zip(f, todo.values()):
         rows = batch_rows.astype(np.int32)  # a copy
         rows.flags.writeable = False
@@ -189,7 +189,7 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     """
     _give_rows(pks)
     rows = np.stack([pk._transform_rows for pk in pks])  # (k, 3, n)
-    f = ntt_forward(np.stack((sig.sigma.coeffs, hash_to_poly(message).coeffs)))
+    f = ntt_forward((sig.sigma.coeffs, hash_to_poly(message).coeffs))
     lhs = rows[:, 0] * f[0]
     lhs %= Q
     rhs = rows[:, 1] * f[1]

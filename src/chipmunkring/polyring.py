@@ -117,15 +117,18 @@ _W.flags.writeable = False
 _N_INV = pow(N, Q - 2, Q)
 
 
-def ntt_forward(a: np.ndarray) -> np.ndarray:
+def ntt_forward(a) -> np.ndarray:
     """Forward negacyclic NTT of every length-n row of a (..., n) array.
 
-    Coefficients must lie in [0, q). Returns a fresh int64 array of the same
-    shape, each value in [0, q); a lone polynomial is the (n,) case. The
-    input is not modified.
+    a is an int64 array, or a nested sequence of them that np.array stacks
+    in the one copy the kernel makes anyway. Coefficients must lie in
+    [0, q). Returns a fresh int64 array of shape (..., n), each value in
+    [0, q); a lone polynomial is the (n,) case. The input is not modified.
     """
     f = np.array(a, dtype=np.int64)
     lead = f.shape[:-1]
+    # one buffer for every stage's y: a fresh one would coexist with the last
+    half = np.empty(f.size // 2, dtype=np.int64)
     # Lazy reduction: only the twiddle product is reduced. A stage maps
     # values below b to x + y and x + (q - y), below b + q, so the nine
     # stages keep every value below 10q < 2^26 and every product t * z
@@ -138,7 +141,7 @@ def ntt_forward(a: np.ndarray) -> np.ndarray:
         wi += nb
         v = f.reshape(*lead, nb, 2, l)
         x, t = v[..., 0, :], v[..., 1, :]
-        y = t * z
+        y = np.multiply(t, z, out=half.reshape(*lead, nb, l))
         y %= Q
         np.subtract(x, y, out=t)
         t += Q
@@ -148,14 +151,16 @@ def ntt_forward(a: np.ndarray) -> np.ndarray:
     return f
 
 
-def ntt_inverse(a: np.ndarray) -> np.ndarray:
+def ntt_inverse(a) -> np.ndarray:
     """Inverse of ntt_forward on every length-n row of a (..., n) array.
 
-    Values must lie in [0, q). Returns a fresh int64 array of the same
-    shape, each coefficient in [0, q). The input is not modified.
+    a is taken as by ntt_forward; values must lie in [0, q). Returns a
+    fresh int64 array of shape (..., n), each coefficient in [0, q). The
+    input is not modified.
     """
     g = np.array(a, dtype=np.int64)
     lead = g.shape[:-1]
+    half = np.empty(g.size // 2, dtype=np.int64)  # every stage's y - x, as above
     # Lazy reduction: only the twiddle product is reduced. A stage maps
     # values below b to x + y, below 2b, and to ((y - x) * z) % q, below q,
     # where |y - x| < b; so after s stages every value is below 2^s q. The
@@ -169,7 +174,7 @@ def ntt_inverse(a: np.ndarray) -> np.ndarray:
         wi -= nb
         v = g.reshape(*lead, nb, 2, l)
         x, y = v[..., 0, :], v[..., 1, :]
-        d = y - x
+        d = np.subtract(y, x, out=half.reshape(*lead, nb, l))
         x += y
         np.multiply(d, z, out=y)
         y %= Q
@@ -205,7 +210,7 @@ def scalar_mul(c: int, p: Polynomial) -> Polynomial:
 
 def mul(p: Polynomial, r: Polynomial) -> Polynomial:
     """Negacyclic product in Z_q[X]/(X^n + 1)."""
-    f = ntt_forward(np.stack((p.coeffs, r.coeffs)))
+    f = ntt_forward((p.coeffs, r.coeffs))
     return Polynomial(coeffs=ntt_inverse(f[0] * f[1] % Q))
 
 
