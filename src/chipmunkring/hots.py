@@ -62,9 +62,10 @@ class PublicKey:
     decoded_from is not stored under its own name, so dataclasses.replace
     re-encodes from the new fields.
 
-    The transform rows that transform_rows stores on a key are not a field:
-    they take no part in equality, hashing or repr, and pickling (also
-    deepcopy) rebuilds the key from its fields and bytes without them.
+    The transform rows a core check stores on a key (see transform_rows)
+    are not a field: they take no part in equality, hashing or repr, and
+    pickling (also deepcopy) rebuilds the key from its fields and bytes
+    without them.
     """
 
     rho_seed: bytes
