@@ -44,7 +44,7 @@ from .errors import (
 )
 from .hots import ChipmunkSignature, PrivateKey, PublicKey, keygen, sign, verify
 from .params import RingParams, preset
-from .polyring import Polynomial, PublicMatrix
+from .polyring import Polynomial
 from .ringsig import (
     MemberEntry,
     Ring,

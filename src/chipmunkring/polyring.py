@@ -63,13 +63,6 @@ class Polynomial:
         return Polynomial, (self.coeffs,)
 
 
-@dataclass(frozen=True)
-class PublicMatrix:
-    """Public ring element A expanded deterministically from a 32-byte seed."""
-
-    a: Polynomial
-
-
 def zero() -> Polynomial:
     """The zero polynomial."""
     return Polynomial(coeffs=np.zeros(N, dtype=np.int64))
@@ -220,7 +213,7 @@ def _xof(data: bytes, length: int) -> bytes:
     return hashlib.shake_256(data).digest(length)
 
 
-def expand_matrix(seed: bytes) -> PublicMatrix:
+def expand_matrix(seed: bytes) -> Polynomial:
     """Expand the public element A from a 32-byte seed.
 
     Coefficients come from 4-byte little-endian words of the XOF stream,
@@ -236,7 +229,7 @@ def expand_matrix(seed: bytes) -> PublicMatrix:
         words = np.frombuffer(_xof(data, length), dtype="<u4")
         kept = words[words < limit]
         if len(kept) >= N:
-            return PublicMatrix(a=Polynomial(coeffs=kept[:N] % Q))
+            return Polynomial(coeffs=kept[:N] % Q)
         length *= 2
 
 

@@ -245,7 +245,7 @@ VERIFY_CEILING_MS = {2: 7.06, 4: 4.34, 8: 7.46, 16: 12.41, 32: 35.90, 64: 45.28}
 def test_criterion_5_performance_envelope():
     lines = []
     for k in (2, 4, 8, 16, 32, 64):
-        rec = _bench_single(k, iterations=100, warmup=10, budget=1e9)
+        rec = _bench_single(k, iterations=100, warmup=10)
         s, v = rec["sign"], rec["verify"]
         lines.append(
             f"  k={k:>2}: sign mean {s['mean']:.2f} median {s['median']:.2f} "

@@ -156,26 +156,49 @@ def test_combine_with_corrupted_partial(workspace):
     assert rc == 4
 
 
+BENCH_CSV_HEADER = [
+    "ring_size", "mode", "threshold", "status", "signature_bytes", "iterations",
+    "sign_mean_ms", "sign_std_ms", "sign_median_ms", "sign_p95_ms",
+    "verify_mean_ms", "verify_std_ms", "verify_median_ms", "verify_p95_ms",
+]
+
+
 def test_bench_minimal(tmp_path, capsys):
     out_csv = tmp_path / "bench.csv"
     rc = main(["bench", "--ring-sizes", "2,4", "--modes", "single",
                "--iterations", "10", "--csv", str(out_csv)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "size fit" in text
+    assert ("size fit: bytes = 1456.0 + 128.0 * ring_size "
+            "(R^2 = 1.000000, residual sum of squares = 0.0)") in text
     assert "parallelism: none" in text
     with open(out_csv) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 2  # header + one row per configuration
-    assert rows[0][0] == "ring_size"
+    assert rows[0] == BENCH_CSV_HEADER
     assert all(row[3] == "ok" for row in rows[1:])
 
 
-def test_bench_threshold_config(tmp_path, capsys):
+def test_bench_repeated_ring_size(capsys):
+    rc = main(["bench", "--ring-sizes", "4,4", "--modes", "single",
+               "--iterations", "10"])
+    assert rc == 0
+    assert "size fit" not in capsys.readouterr().out  # one distinct size fits no line
+
+
+@pytest.mark.parametrize("configs", ["2/4", "1/4", "2/4,"])
+def test_bench_threshold_config(tmp_path, capsys, configs):
+    out_csv = tmp_path / "bench.csv"
     rc = main(["bench", "--ring-sizes", "2", "--modes", "threshold",
-               "--threshold-configs", "2/4", "--iterations", "10"])
+               "--threshold-configs", configs, "--iterations", "10",
+               "--csv", str(out_csv)])
     assert rc == 0
     assert "threshold" in capsys.readouterr().out
+    with open(out_csv) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == BENCH_CSV_HEADER
+    assert len(rows) == 2
+    assert rows[1][1:4] == ["threshold", configs[0], "ok"]
 
 
 def test_bench_iterations_floor():

@@ -35,7 +35,7 @@ def oracle_matches(sig, ring, params):
     return [
         j for j, pk in enumerate(ring.members)
         if infinity_norm(sigma) <= NORM_BOUND
-        and mul(expand_matrix(pk.rho_seed).a, sigma) == add(mul(pk.v0, h), pk.v1)
+        and mul(expand_matrix(pk.rho_seed), sigma) == add(mul(pk.v0, h), pk.v1)
     ]
 
 
@@ -103,7 +103,7 @@ def test_transform_rows(key_pool):
     pk = key_pool[9][1]
     rows = hots.transform_rows(pk)
     assert rows.shape == (3, 512) and not rows.flags.writeable
-    want = [ntt_forward(expand_matrix(pk.rho_seed).a.coeffs), ntt_forward(pk.v0.coeffs),
+    want = [ntt_forward(expand_matrix(pk.rho_seed).coeffs), ntt_forward(pk.v0.coeffs),
             ntt_forward(pk.v1.coeffs)]
     assert np.array_equal(rows, np.stack(want))
     # kept on the key, and decoding the same bytes again returns that key

@@ -38,7 +38,7 @@ def test_keygen_unsupported_params():
 
 def test_public_key_construction(key_pool):
     sk, pk = key_pool[0]
-    a = expand_matrix(pk.rho_seed).a
+    a = expand_matrix(pk.rho_seed)
     assert pk.v0 == mul(a, sk.s0)
     assert pk.v1 == mul(a, sk.s1)
 
@@ -127,7 +127,7 @@ def test_homomorphic_linearity(single_params):
 def test_verify_matches_literal_identity(key_pool, single_params):
     # the transform-domain check equals the plain product identity
     sk, pk = key_pool[4]
-    a = expand_matrix(pk.rho_seed).a
+    a = expand_matrix(pk.rho_seed)
     for j in range(5):
         msg = b"literal identity %d" % j
         sig = sign(sk, msg, single_params)

@@ -19,7 +19,7 @@ from chipmunkring.ringsig import Ring, ring_sign, ring_verify
 
 
 def recover_secrets(pk):
-    a_hat = ntt_forward(expand_matrix(pk.rho_seed).a.coeffs)
+    a_hat = ntt_forward(expand_matrix(pk.rho_seed).coeffs)
     assert np.all(a_hat != 0)  # A is a unit of R_q
     a_inv = np.array([pow(int(x), Q - 2, Q) for x in a_hat], dtype=np.int64)
     return tuple(Polynomial(coeffs=ntt_inverse(ntt_forward(v.coeffs) * a_inv % Q))
