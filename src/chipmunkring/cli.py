@@ -249,15 +249,20 @@ def cmd_bench(args) -> int:
         if m not in ("single", "threshold"):
             print(f"error: unknown mode {m!r}", file=sys.stderr)
             return EXIT_STRUCTURAL
-    warmup = max(3, args.iterations // 10)
-    records = []
-    if "single" in modes:
-        for k in ring_sizes:
-            records.append(_bench_single(k, args.iterations, warmup))
+    singles = ring_sizes if "single" in modes else []
+    configs = []
     if "threshold" in modes:
         for spec in [c for c in args.threshold_configs.split(",") if c]:
             t, n = (int(x) for x in spec.split("/"))
-            records.append(_bench_threshold(t, n, args.iterations, warmup))
+            configs.append((t, n))
+    # every configuration is checked before the first key is made
+    for k in singles + [n for _, n in configs]:
+        ringsig.check_ring_size(k)
+    for t, n in configs:
+        threshold.check_threshold_config(t, n)
+    warmup = max(3, args.iterations // 10)
+    records = [_bench_single(k, args.iterations, warmup) for k in singles]
+    records += [_bench_threshold(t, n, args.iterations, warmup) for t, n in configs]
 
     header = (f"{'ring':>4} {'mode':>9} {'t':>3} {'bytes':>8} "
               f"{'sign mean':>10} {'std':>7} {'median':>8} {'p95':>8} "

@@ -31,10 +31,10 @@ encode_public_key returns them. Key equality and hashing go by these bytes.
 decode_public_key holds the one cache of per-key verification work: an LRU
 of the 256 most recently decoded keys (four rings of 64), keyed on the
 input bytes. A verifier fed ring after ring with the same decoy keys
-decodes each key once, and the PublicKey it gets back keeps its transform
-rows (hots.transform_rows: a read-only (3, 512) int32 array of NTT(A),
-NTT(v0), NTT(v1)) once the first core check has computed them. Keys
-embedded in private keys and shares are decoded through the same cache.
+decodes each key once, and the PublicKey it gets back keeps its root
+values (hots.root_values: the three ints A(psi), v0(psi), v1(psi)) once
+the first core check has computed them. Keys embedded in private keys and
+shares are decoded through the same cache.
 """
 
 import hashlib
@@ -198,7 +198,7 @@ def _decode_public_key(data: bytes):
 
     Memoised on the input bytes for the 256 most recently used keys (four
     rings of 64): the same bytes decode to the same immutable PublicKey,
-    which carries its transform rows once computed (hots.transform_rows).
+    which carries its root values once computed (hots.root_values).
     Only successful decodes are stored; hostile bytes raise the same error
     on every call.
 

@@ -15,13 +15,17 @@ The check is split in two so that a verifier holding many candidate keys,
 as a ring verifier does, can test the norm once per signature
 (norm_within_bound) and then the identity for all keys at once
 (identity_holds); verify_detail runs both in that order for a single key.
-The per-key half of that work, the transforms NTT(A), NTT(v0) and NTT(v1),
-is computed on a key's first core check, in one batched transform for all
-the keys of that check that lack it, and each key keeps its own copy.
+identity_holds first tests every key at one root psi of X^n + 1, where
+each key contributes three numbers, A(psi), v0(psi) and v1(psi)
+(root_values). An identity that holds in the ring holds at every root, so
+only the keys that pass there can meet it, and only those get the full
+check over all n roots, in one batched transform. The work is k root tests
+plus a full check on that candidate set, the same whichever key signed.
+A key computes its root values on its first core check and keeps them.
 The one cache of per-key work is codec.decode_public_key's LRU of 256
 decoded keys (four rings of 64), so a verifier that sees the same key
-bytes again gets back the same key, rows included. Keys from keygen
-compute their rows only if a core check needs them; signing never does.
+bytes again gets back the same key, root values included. Keys from
+keygen compute them only if a core check needs them; signing never does.
 
 A is a single ring element, so whenever NTT(A) has no zero coefficient the
 public key alone gives s0 = A^-1 * v0 and s1 = A^-1 * v1; README "Security
@@ -39,10 +43,11 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import codec
-from .params import NORM_BOUND, Q, RingParams
+from .params import N, NORM_BOUND, Q, RingParams
 from .polyring import (
     Polynomial,
     add,
+    eval_at_psi,
     expand_matrix,
     hash_to_poly,
     infinity_norm,
@@ -62,8 +67,8 @@ class PublicKey:
     decoded_from is not stored under its own name, so dataclasses.replace
     re-encodes from the new fields.
 
-    The transform rows a core check stores on a key (see transform_rows)
-    are not a field: they take no part in equality, hashing or repr, and
+    The root values a core check stores on a key (see root_values) are
+    not a field: they take no part in equality, hashing or repr, and
     pickling (also deepcopy) rebuilds the key from its fields and bytes
     without them.
     """
@@ -144,59 +149,59 @@ def norm_within_bound(sig: ChipmunkSignature) -> bool:
     return infinity_norm(sig.sigma) <= NORM_BOUND
 
 
-def _give_rows(pks) -> None:
-    """Store transform rows on every key in pks that has none yet.
+def root_values(pk: PublicKey) -> tuple:
+    """(A(psi), v0(psi), v1(psi)) of one key as ints in [0, q): the values
+    at transform index 0.
 
-    All such keys are transformed in one ntt_forward call over a (k, 3, n)
-    array. Each key then gets its own read-only int32 copy of its rows,
-    never a view, which would keep the whole batch alive for as long as
-    any one key lives in the decode memo. Equal keys share one copy.
+    Computed on first use, for this key alone, and stored on the key
+    object, so it lives exactly as long as the key.
     """
-    todo = {}
-    for pk in pks:
-        if "_transform_rows" not in pk.__dict__:
-            todo.setdefault(pk, []).append(pk)
-    if not todo:
-        return
-    f = ntt_forward([(expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs, pk.v1.coeffs)
-                     for pk in todo])
-    for batch_rows, same in zip(f, todo.values()):
-        rows = batch_rows.astype(np.int32)  # a copy
-        rows.flags.writeable = False
-        for pk in same:
-            object.__setattr__(pk, "_transform_rows", rows)
+    try:
+        return pk._root_values
+    except AttributeError:
+        pass
+    values = tuple(eval_at_psi((expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs,
+                                pk.v1.coeffs)).tolist())
+    object.__setattr__(pk, "_root_values", values)
+    return values
 
 
-def transform_rows(pk: PublicKey) -> np.ndarray:
-    """Read-only (3, n) array: NTT(A), NTT(v0) and NTT(v1) of one key.
-
-    Computed on first use and stored on the key object, so it lives exactly
-    as long as the key. Stored as int32 (every value is below q < 2^22),
-    which halves the per-key memory and the per-check stack; products with
-    int64 arrays are int64.
-    """
-    _give_rows((pk,))
-    return pk._transform_rows
+def _meets(a, v0, v1, s, h) -> np.ndarray:
+    """a*s == v0*h + v1 mod q, elementwise over broadcast int64 inputs in [0, q)."""
+    lhs = a * s
+    lhs %= Q
+    rhs = v0 * h
+    rhs += v1
+    rhs %= Q
+    return lhs == rhs
 
 
 def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     """The per-key half of verification, A*sigma == v0*H(M) + v1, for each
     key in pks at once: a boolean array of len(pks).
 
-    Compared pointwise in the transform domain: the NTT is a bijection, so
-    this is the same predicate without the inverse transforms. Keys without
-    rows are transformed together in one batch; sigma and H(M) together in
-    one (2, n) call. Every key costs the same work.
+    Every key is first tested at the root psi as one (k,) comparison of
+    root values. The keys that pass, and only those, are then compared at
+    every root in the transform domain, where the NTT is a bijection, so
+    that is the same predicate without the inverse transforms: their A,
+    v0 and v1, sigma and H(M) go through one ntt_forward call. No key that
+    fails at psi can meet the identity, so the result is exact.
     """
-    _give_rows(pks)
-    rows = np.stack([pk._transform_rows for pk in pks])  # (k, 3, n)
-    f = ntt_forward((sig.sigma.coeffs, hash_to_poly(message).coeffs))
-    lhs = rows[:, 0] * f[0]
-    lhs %= Q
-    rhs = rows[:, 1] * f[1]
-    rhs += rows[:, 2]
-    rhs %= Q
-    return (lhs == rhs).all(axis=1)
+    sigma, h = sig.sigma.coeffs, hash_to_poly(message).coeffs
+    s_psi, h_psi = eval_at_psi((sigma, h)).tolist()
+    at = np.array([root_values(pk) for pk in pks], dtype=np.int64)  # (k, 3)
+    held = _meets(at[:, 0], at[:, 1], at[:, 2], s_psi, h_psi)
+    candidates = np.flatnonzero(held)
+    if len(candidates):
+        rows = [sigma, h]
+        for j in candidates:
+            pk = pks[j]
+            rows += (expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs, pk.v1.coeffs)
+        f = ntt_forward(rows)
+        keys = f[2:].reshape(-1, 3, N)
+        held[candidates] = _meets(keys[:, 0], keys[:, 1], keys[:, 2],
+                                  f[0], f[1]).all(axis=1)
+    return held
 
 
 def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature,

@@ -13,9 +13,11 @@ polynomials stacks them and pays the nine stages' per-call overhead once;
 a lone polynomial is the (512,) case. Reduction is lazy (Longa and
 Naehrig, CANS 2016): a stage reduces only its twiddle product, forward
 values stay below 10q < 2^26 and products below 2^48, and one final % q
-restores [0, q); each kernel states its own bounds. Sampling and
-hash-to-polynomial are deterministic SHAKE256 expansions. Every function
-here is pure, so unrestricted concurrent use is safe.
+restores [0, q); each kernel states its own bounds. eval_at_psi gives
+one transform coefficient, the value at the root psi of X^n + 1, as a
+single dot product. Sampling and hash-to-polynomial are deterministic
+SHAKE256 expansions. Every function here is pure, so unrestricted
+concurrent use is safe.
 """
 
 import hashlib
@@ -105,7 +107,9 @@ def _bitrev(x: int, bits: int) -> int:
 
 _LOGN = N.bit_length() - 1
 PSI = _find_psi()
-_W = np.array([pow(PSI, _bitrev(i, _LOGN), Q) for i in range(N)], dtype=np.int64)
+_PSI_POWERS = np.array([pow(PSI, i, Q) for i in range(N)], dtype=np.int64)
+_PSI_POWERS.flags.writeable = False
+_W = _PSI_POWERS[[_bitrev(i, _LOGN) for i in range(N)]]  # psi^bitrev(i)
 _W.flags.writeable = False
 _N_INV = pow(N, Q - 2, Q)
 
@@ -177,14 +181,24 @@ def ntt_inverse(a) -> np.ndarray:
     return g
 
 
+def eval_at_psi(a) -> np.ndarray:
+    """Value at x = psi of every length-n row of a (..., n) array.
+
+    a is taken as by ntt_forward; the result, of shape (...), equals
+    ntt_forward(a)[..., 0] with values in [0, q). Each product of a
+    coefficient and a power of psi is below q^2 < 2^44 and each sum of n
+    of them below n * q^2 < 2^53, so int64 never overflows.
+    """
+    return np.asarray(a, dtype=np.int64) @ _PSI_POWERS % Q
+
+
 @lru_cache(maxsize=4096)
 def ntt_cached(p: Polynomial) -> np.ndarray:
     """Memoized ntt_forward of one polynomial: a read-only (n,) int64 array.
 
-    Verification does not use it: hots.identity_holds transforms every ring
-    key that lacks rows in one ntt_forward call over a (k, 3, n) array and
-    keeps each key's rows on the key; sigma and H(c) are new on every
-    input and are transformed together as one (2, n) array.
+    Verification does not use it: hots.identity_holds tests every ring key
+    at the one root psi (eval_at_psi) and transforms only the keys that
+    pass, together with sigma and H(c), in one ntt_forward call.
     """
     f = ntt_forward(p.coeffs)
     f.flags.writeable = False

@@ -13,7 +13,9 @@ and the signing seed only (see build_member_entries), so the records are
 byte-identical whoever signs, and an honest signature always stops at
 member 0. Where the scan stops depends only on the signature bytes and the
 ring, both public. The core check tests the norm bound on sigma once and
-then the key-dependent identity for all members in one stacked comparison.
+then the key-dependent identity: k root tests, one per member, plus a
+full check on the members that pass them (hots.identity_holds). That work
+is the same at every signer position.
 
 Challenge serialization (hashed with SHA3-256):
 
@@ -40,6 +42,12 @@ MIN_RING = 2
 MAX_RING = 64
 
 
+def check_ring_size(size: int) -> None:
+    """Raise RingSizeError unless MIN_RING <= size <= MAX_RING."""
+    if not MIN_RING <= size <= MAX_RING:
+        raise RingSizeError(f"ring size {size} outside [{MIN_RING}, {MAX_RING}]")
+
+
 @dataclass(frozen=True)
 class Ring:
     """Ordered sequence of member public keys; order is significant."""
@@ -47,10 +55,7 @@ class Ring:
     members: tuple
 
     def __post_init__(self):
-        if not MIN_RING <= len(self.members) <= MAX_RING:
-            raise RingSizeError(
-                f"ring size {len(self.members)} outside [{MIN_RING}, {MAX_RING}]"
-            )
+        check_ring_size(len(self.members))
 
     @property
     def size(self) -> int:
@@ -189,10 +194,10 @@ def core_matches(sig: RingSignature, ring: Ring):
     """Indices of ring members whose key verifies the core signature.
 
     The norm bound does not depend on the key, so it is checked once; the
-    transform-domain identity then runs for all members as one stacked
-    (k, n) comparison, the same work whichever member signed. The check is
-    the same in both parameter modes. Internal: callers expose only
-    accept/reject, never the index.
+    identity then runs as k root tests at psi, one per member, plus a full
+    transform-domain check on the members that pass, the same work
+    whichever member signed. The check is the same in both parameter
+    modes. Internal: callers expose only accept/reject, never the index.
     """
     if not hots.norm_within_bound(sig.chipmunk_sig):
         return []

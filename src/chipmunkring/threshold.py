@@ -111,13 +111,19 @@ def share_scalar(secret, rand_coeffs, xs, q: int = Q):
     """Evaluate f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) at each x.
 
     Inputs are ints or int64 arrays of one shape S, reduced mod q; the result
-    has shape S + (len(xs),). Horner steps stay below 2q * max(xs) in int64.
+    has shape S + (len(xs),). Horner steps stay below 2q * max(xs) in int64
+    and run in place in one accumulator, so dealing makes no temporaries
+    of the accumulator's size.
     """
     x = np.asarray(xs, dtype=np.int64)
     acc = np.zeros(np.shape(secret) + x.shape, dtype=np.int64)
     for c in reversed(rand_coeffs):
-        acc = (acc + np.expand_dims(c, -1)) * x % q
-    return (acc + np.expand_dims(secret, -1)) % q
+        acc += np.expand_dims(c, -1)
+        acc *= x
+        acc %= q
+    acc += np.expand_dims(secret, -1)
+    acc %= q
+    return acc
 
 
 _SHARE_LIMIT = (1 << 32) // Q * Q  # largest multiple of q below 2^32
@@ -155,6 +161,14 @@ def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
     return out
 
 
+def check_threshold_config(t: int, n_participants: int) -> None:
+    """Raise ThresholdError unless 1 <= t <= n <= MAX_PARTICIPANTS."""
+    if not 1 <= t <= n_participants <= MAX_PARTICIPANTS:
+        raise ThresholdError(
+            f"need 1 <= t <= n <= {MAX_PARTICIPANTS}, got t={t}, n={n_participants}"
+        )
+
+
 def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
                 entropy: bytes):
     """Split a master private key into n shares with threshold t.
@@ -162,10 +176,7 @@ def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
     Participant evaluation points are 1..n (never 0: the evaluation at zero
     IS the secret). With t = 1 every share equals the master secrets.
     """
-    if not 1 <= t <= n_participants <= MAX_PARTICIPANTS:
-        raise ThresholdError(
-            f"need 1 <= t <= n <= {MAX_PARTICIPANTS}, got t={t}, n={n_participants}"
-        )
+    check_threshold_config(t, n_participants)
     if len(entropy) != 32:
         raise ValueError("entropy must be 32 bytes")
     xs = range(1, n_participants + 1)

@@ -203,3 +203,22 @@ def test_bench_threshold_config(tmp_path, capsys, configs):
 
 def test_bench_iterations_floor():
     assert main(["bench", "--iterations", "5"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--ring-sizes", "257", "--modes", "single"], "ring size 257 outside [2, 64]"),
+    (["--ring-sizes", "65", "--modes", "single"], "ring size 65 outside [2, 64]"),
+    (["--ring-sizes", "4,1", "--modes", "single"], "ring size 1 outside [2, 64]"),
+    (["--ring-sizes", "4", "--modes", "single,threshold", "--threshold-configs", "5/4"],
+     "need 1 <= t <= n <= 64, got t=5, n=4"),
+    (["--modes", "threshold", "--threshold-configs", "2/4,1/1"],
+     "ring size 1 outside [2, 64]"),
+    (["--modes", "threshold", "--threshold-configs", "0/4"],
+     "need 1 <= t <= n <= 64, got t=0, n=4"),
+])
+def test_bench_checks_every_size_before_any_keygen(monkeypatch, capsys, argv, message):
+    calls = []
+    monkeypatch.setattr(hots, "keygen", lambda *a: calls.append(a))
+    assert main(["bench", "--iterations", "10"] + argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,10 +1,12 @@
 """The stacked core check against a per-member oracle.
 
 ringsig.core_matches tests the norm once and then the identity for all
-ring members as one (k, n) comparison over cached transform rows. The
-oracle below is the definition, run member by member in the coefficient
-domain: ||sigma|| <= bound and A*sigma == v0*H(c) + v1. Both must name the
-same members, and so must hots.verify called once per member.
+ring members: one (k,) comparison at the root psi over each key's root
+values, then a full transform-domain check on the keys that pass there.
+The oracle below is the definition, run member by member in the
+coefficient domain: ||sigma|| <= bound and A*sigma == v0*H(c) + v1. Both
+must name the same members, and so must hots.verify called once per
+member.
 """
 
 import pickle
@@ -15,15 +17,19 @@ import pytest
 import numpy as np
 
 from chipmunkring import codec, hots
-from chipmunkring.params import NORM_BOUND
+from chipmunkring.params import NORM_BOUND, Q
 from chipmunkring.polyring import (
+    PSI,
+    Polynomial,
     add,
+    eval_at_psi,
     expand_matrix,
     hash_to_poly,
     infinity_norm,
     monomial,
     mul,
     ntt_forward,
+    sample_secret,
 )
 from chipmunkring.ringsig import Ring, RingSignature, core_matches
 
@@ -99,25 +105,22 @@ def test_wrong_challenge(key_pool, single_params, k):
     check(core_signature(rng.randbytes(32), core), ring, single_params, [])
 
 
-def test_transform_rows(key_pool):
+def test_root_values(key_pool):
     pk = key_pool[9][1]
-    rows = hots.transform_rows(pk)
-    assert rows.shape == (3, 512) and not rows.flags.writeable
-    want = [ntt_forward(expand_matrix(pk.rho_seed).coeffs), ntt_forward(pk.v0.coeffs),
-            ntt_forward(pk.v1.coeffs)]
-    assert np.array_equal(rows, np.stack(want))
+    values = hots.root_values(pk)
+    want = ntt_forward((expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs, pk.v1.coeffs))
+    assert list(values) == want[:, 0].tolist()
+    assert list(values) == eval_at_psi((expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs,
+                                        pk.v1.coeffs)).tolist()
     # kept on the key, and decoding the same bytes again returns that key
-    decoded = hots.transform_rows(codec.decode_public_key(pk.encoded))
-    assert decoded is hots.transform_rows(codec.decode_public_key(pk.encoded))
-    assert np.array_equal(decoded, rows)
+    decoded = hots.root_values(codec.decode_public_key(pk.encoded))
+    assert decoded is hots.root_values(codec.decode_public_key(pk.encoded))
+    assert decoded == values
 
 
-def test_rows_of_one_batch_are_separate_copies(key_pool, single_params, monkeypatch):
-    # pickling drops the rows, so these keys have none until the check below
-    a, b = (pickle.loads(pickle.dumps(key_pool[i][1])) for i in (10, 11))
-    a_again = pickle.loads(pickle.dumps(a))
-    assert "_transform_rows" not in a.__dict__ and "_transform_rows" not in b.__dict__
-
+@pytest.fixture()
+def transforms(monkeypatch):
+    """Shapes of the ntt_forward calls hots makes, in order."""
     shapes = []
     real = hots.ntt_forward
 
@@ -126,17 +129,61 @@ def test_rows_of_one_batch_are_separate_copies(key_pool, single_params, monkeypa
         return real(x)
 
     monkeypatch.setattr(hots, "ntt_forward", counted)
+    return shapes
+
+
+def test_root_values_are_per_key(key_pool, single_params, transforms):
+    # pickling drops the root values, so these keys have none until the check
+    a, b = (pickle.loads(pickle.dumps(key_pool[i][1])) for i in (10, 11))
+    a_again = pickle.loads(pickle.dumps(a))
+    assert not any("_root_values" in vars(k) for k in (a, b, a_again))
+
     challenge = rng.randbytes(32)
     sig = hots.sign(key_pool[10][0], challenge, single_params)
     held = hots.identity_holds((a, b, a, a_again), challenge, sig)
     assert held.tolist() == [True, False, True, True]
-    # one transform for the keys (equal keys once), one for sigma and H(c)
-    assert shapes == [(2, 3, 512), (2, 512)]
+    # one transform: sigma, H(c) and the three positions that pass at psi
+    assert transforms == [(2 + 3 * 3, 512)]
+    assert all("_root_values" in vars(k) for k in (a, b, a_again))
+    assert hots.root_values(a_again) == hots.root_values(a)
+    assert hots.root_values(a) == hots.root_values(key_pool[10][1])
+    assert hots.root_values(b) == hots.root_values(key_pool[11][1])
 
-    ra, rb = hots.transform_rows(a), hots.transform_rows(b)
-    assert not np.shares_memory(ra, rb)
-    assert ra.flags.owndata and rb.flags.owndata  # not views of the batch
-    assert not ra.flags.writeable and not rb.flags.writeable
-    assert hots.transform_rows(a_again) is ra
-    assert np.array_equal(ra, hots.transform_rows(key_pool[10][1]))
-    assert np.array_equal(rb, hots.transform_rows(key_pool[11][1]))
+
+def test_full_check_runs_only_on_keys_that_pass_at_psi(key_pool, single_params,
+                                                       transforms):
+    ring = tuple(pk for _, pk in key_pool)
+    challenge = rng.randbytes(32)
+    sig = hots.sign(key_pool[37][0], challenge, single_params)
+    assert np.flatnonzero(hots.identity_holds(ring, challenge, sig)).tolist() == [37]
+    assert transforms == [(2 + 3, 512)]  # one full check, for the signer's key
+    # no key passes at psi for another challenge, so nothing is transformed
+    assert not hots.identity_holds(ring, rng.randbytes(32), sig).any()
+    assert transforms == [(2 + 3, 512)]
+
+
+def test_clone_ring_gets_one_batched_full_check(single_params, transforms):
+    # distinct keys from one (s0, s1): one sigma meets the identity for all
+    s0, s1 = (sample_secret(b"\x3c" * 32, c) for c in (b"s0", b"s1"))
+    clones = [hots.keypair_from_secrets(bytes([i]) * 32, s0, s1) for i in range(8)]
+    ring = Ring(members=tuple(pk for _, pk in clones))
+    challenge = rng.randbytes(32)
+    sig = core_signature(challenge, hots.sign(clones[5][0], challenge, single_params))
+    transforms.clear()  # keypair_from_secrets and sign transform too
+    assert core_matches(sig, ring) == list(range(8))
+    assert transforms == [(2 + 3 * 8, 512)]
+    check(sig, ring, single_params, list(range(8)))
+
+
+def test_passing_at_psi_alone_is_not_enough(key_pool, single_params, transforms):
+    # sigma + (X - psi) has the same value at psi as sigma, but A*(X - psi)
+    # is not zero, so the identity fails at the other roots
+    sk, pk = key_pool[12]
+    challenge = rng.randbytes(32)
+    sigma = hots.sign(sk, challenge, single_params).sigma
+    forged = hots.ChipmunkSignature(
+        sigma=add(sigma, Polynomial(coeffs=[(-PSI) % Q, 1] + [0] * 510)))
+    assert eval_at_psi(forged.sigma.coeffs) == eval_at_psi(sigma.coeffs)
+    assert hots.identity_holds((pk,), challenge, forged).tolist() == [False]
+    assert transforms == [(2 + 3, 512)]  # it reached the full check
+    assert not hots.verify(pk, challenge, forged, single_params)

@@ -7,7 +7,7 @@ the fields. On every input both must return an equal key or raise the same
 exception type with the same message.
 
 decode_public_key is memoised on its input bytes (an LRU of 256 keys), and a
-key keeps its transform rows once computed; the tests at the end pin both.
+key keeps its root values once computed; the tests at the end pin both.
 """
 
 import copy
@@ -15,7 +15,6 @@ import dataclasses
 import pickle
 import random
 
-import numpy as np
 import pytest
 
 from chipmunkring import codec, hots
@@ -30,7 +29,7 @@ from chipmunkring.codec import (
 from chipmunkring.errors import CodecError, FieldError, TruncatedDataError
 from chipmunkring.hots import PublicKey
 from chipmunkring.params import N, Q
-from chipmunkring.polyring import Polynomial
+from chipmunkring.polyring import Polynomial, ntt_forward
 from chipmunkring.ringsig import Ring, core_matches, ring_hash, ring_sign
 from chipmunkring.threshold import deal_shares
 
@@ -247,43 +246,46 @@ def test_embedded_keys_go_through_the_memo(key_pool, empty_memo):
     assert codec.decode_share(codec.encode_share(share)).pk is decoded.pk
 
 
-#   Transform rows live on the key object, outside its fields.
+#   Root values live on the key object, outside its fields.
 
-def test_rows_are_computed_once_and_read_only(key_pool):
+def test_root_values_are_computed_once(key_pool, monkeypatch):
     pk = decode_public_key(key_pool[17][1].encoded)
-    rows = hots.transform_rows(pk)
-    assert hots.transform_rows(pk) is rows
-    assert rows.dtype == np.int32 and rows.shape == (3, N)
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0, 0] = 1
+    expanded = []
+    real = hots.expand_matrix
+
+    def counted(seed):
+        expanded.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(hots, "expand_matrix", counted)
+    values = hots.root_values(pk)
+    assert hots.root_values(pk) is values
+    assert expanded == [pk.rho_seed]  # one key at a time, once
+    assert type(values) is tuple and len(values) == 3
+    assert all(type(v) is int and 0 <= v < Q for v in values)
+    want = ntt_forward((real(pk.rho_seed).coeffs, pk.v0.coeffs, pk.v1.coeffs))[:, 0]
+    assert list(values) == want.tolist()
 
 
-def test_rows_are_not_part_of_the_key(key_pool):
+def test_root_values_are_not_part_of_the_key(key_pool):
     src = key_pool[18][1]
     pk = PublicKey(rho_seed=src.rho_seed, v0=src.v0, v1=src.v1)
     assert [f.name for f in dataclasses.fields(pk)] == ["rho_seed", "v0", "v1"]
     before = (repr(pk), hash(pk), pickle.dumps(pk))
-    rows = hots.transform_rows(pk)
+    values = hots.root_values(pk)
     assert (repr(pk), hash(pk), pickle.dumps(pk)) == before
     assert pk == src
     for copied in (pickle.loads(pickle.dumps(pk)), copy.deepcopy(pk)):
         assert copied is not pk
         assert copied == pk and hash(copied) == hash(pk)
-        assert not any(isinstance(v, np.ndarray) and v.flags.writeable
-                       for v in vars(copied).values())
-        copied_rows = hots.transform_rows(copied)
-        assert copied_rows is not rows and not copied_rows.flags.writeable
-        assert np.array_equal(copied_rows, rows)
+        assert "_root_values" not in vars(copied)
+        assert hots.root_values(copied) == values
 
 
-def test_keygen_keys_compute_rows_only_for_a_core_check(key_pool, single_params):
-    def has_rows(k):
-        return any(isinstance(v, np.ndarray) for v in vars(k).values())
-
+def test_keygen_keys_compute_root_values_only_for_a_core_check(key_pool, single_params):
     sk, pk = hots.keygen(b"\x5b" * 32, single_params)
     ring = Ring(members=(pk,) + tuple(p for _, p in key_pool[:3]))
     sig = ring_sign(sk, 0, b"m", ring, b"\x01" * 32, single_params)
-    assert not has_rows(pk)
+    assert "_root_values" not in vars(pk)
     assert core_matches(sig, ring) == [0]
-    assert has_rows(pk)
+    assert "_root_values" in vars(pk)
