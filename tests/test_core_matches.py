@@ -1,4 +1,4 @@
-"""The stacked core check against a per-member oracle.
+"""The core check against a per-member oracle.
 
 ringsig.core_matches tests the norm once and then the identity for all
 ring members: one (k,) comparison at the root psi over each key's root
