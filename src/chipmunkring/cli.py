@@ -58,7 +58,7 @@ def _load_ring(spec: str) -> Ring:
 
 
 def _params_for_signature(sig):
-    return preset("single" if codec.signature_mode(sig) == 1 else "multi")
+    return preset(codec.MODE_PRESETS[codec.signature_mode(sig)])
 
 
 def cmd_keygen(args) -> int:
@@ -148,12 +148,9 @@ def _stats_ms(samples):
     }
 
 
-def _bench_keys(count: int, params):
-    keys = []
-    for i in range(count):
-        entropy = hashlib.shake_256(b"chipmunkring-bench-key" + bytes([i])).digest(32)
-        keys.append(hots.keygen(entropy, params))
-    return keys
+def _bench_key(label: bytes, params):
+    entropy = hashlib.shake_256(b"chipmunkring-bench-key " + label).digest(32)
+    return hots.keygen(entropy, params)
 
 
 def _bench_loop(one, record: dict, iterations: int, warmup: int):
@@ -175,16 +172,18 @@ def _bench_loop(one, record: dict, iterations: int, warmup: int):
 
 
 def _bench_single(k: int, iterations: int, warmup: int):
+    """Each op signs once with a fresh key at position i % k, made untimed."""
     params = preset("single")
-    keys = _bench_keys(k, params)
-    ring = Ring(members=tuple(pk for _, pk in keys))
+    decoys = tuple(_bench_key(b"decoy %d" % j, params)[1] for j in range(k - 1))
 
     def one(i: int):
+        sk, pk = _bench_key(b"single %d signer %d" % (k, i), params)
+        signer = i % k
+        ring = Ring(members=decoys[:signer] + (pk,) + decoys[signer:])
         message = b"bench single %d %d" % (k, i)
         entropy = hashlib.shake_256(b"bench-entropy%d-%d" % (k, i)).digest(32)
-        signer = i % k
         t0 = time.perf_counter()
-        sig = ringsig.ring_sign(keys[signer][0], signer, message, ring, entropy, params)
+        sig = ringsig.ring_sign(sk, signer, message, ring, entropy, params)
         t1 = time.perf_counter()
         ok = ringsig.ring_verify(sig, message, ring, params)
         t2 = time.perf_counter()
@@ -195,14 +194,17 @@ def _bench_single(k: int, iterations: int, warmup: int):
 
 
 def _bench_threshold(t: int, n: int, iterations: int, warmup: int):
+    """Each op signs once with fresh shares of a fresh master key at position
+    i % n; keygen and dealing are untimed."""
     params = preset("multi")
-    keys = _bench_keys(n, params)
-    ring = Ring(members=tuple(pk for _, pk in keys))
-    master_sk = keys[0][0]
-    dealer_entropy = hashlib.shake_256(b"bench-deal%d/%d" % (t, n)).digest(32)
-    shares = threshold.deal_shares(master_sk, t, n, dealer_entropy)
+    decoys = tuple(_bench_key(b"decoy %d" % j, params)[1] for j in range(n - 1))
 
     def one(i: int):
+        master_sk, master_pk = _bench_key(b"threshold %d/%d master %d" % (t, n, i), params)
+        dealer_entropy = hashlib.shake_256(b"bench-deal%d/%d-%d" % (t, n, i)).digest(32)
+        shares = threshold.deal_shares(master_sk, t, n, dealer_entropy)
+        pos = i % n
+        ring = Ring(members=decoys[:pos] + (master_pk,) + decoys[pos:])
         message = b"bench threshold %d/%d %d" % (t, n, i)
         subset = [shares[(i + j) % n] for j in range(t)]
         t0 = time.perf_counter()

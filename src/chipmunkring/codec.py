@@ -50,7 +50,7 @@ from .errors import (
     FieldError,
     TruncatedDataError,
 )
-from .params import N, Q
+from .params import MAX_PARTICIPANTS, MAX_RING, MIN_RING, N, Q, preset
 
 MAGIC = b"CHRS"
 VERSION = 1
@@ -64,7 +64,8 @@ _KINDS = (1, 2, 3, 4, 5)
 
 MODE_SINGLE = 1
 MODE_MULTI = 2
-_PROOF_SIZES = {MODE_SINGLE: 64, MODE_MULTI: 96}
+MODE_PRESETS = {MODE_SINGLE: "single", MODE_MULTI: "multi"}  # mode byte -> preset name
+_PROOF_SIZES = {mode: preset(name).proof_size for mode, name in MODE_PRESETS.items()}
 
 POLYNOMIAL_BYTES = N * 22 // 8  # 1408
 HEADER_BYTES = 8
@@ -295,10 +296,11 @@ def decode_signature(data: bytes):
     p = _PROOF_SIZES[mode]
     ring_size = r.u16()
     required = r.u16()
-    if not 2 <= ring_size <= 64:
-        raise FieldError(f"ring_size {ring_size} out of range [2, 64]")
-    if not 1 <= required <= 64:
-        raise FieldError(f"required_signers {required} out of range [1, 64]")
+    if not MIN_RING <= ring_size <= MAX_RING:
+        raise FieldError(f"ring_size {ring_size} out of range [{MIN_RING}, {MAX_RING}]")
+    if not 1 <= required <= MAX_PARTICIPANTS:
+        raise FieldError(
+            f"required_signers {required} out of range [1, {MAX_PARTICIPANTS}]")
     challenge = r.take(32)
     entries = []
     for _ in range(ring_size):
@@ -341,7 +343,7 @@ def decode_share(data: bytes):
     r = _Reader(data)
     _read_header(r, KIND_KEY_SHARE)
     x, t, n_participants = struct.unpack("<HHH", r.take(6))
-    if not 1 <= t <= n_participants <= 64:
+    if not 1 <= t <= n_participants <= MAX_PARTICIPANTS:
         raise FieldError(f"invalid threshold configuration t={t}, n={n_participants}")
     if not 1 <= x <= n_participants:
         raise FieldError(f"participant_x {x} out of range [1, {n_participants}]")
@@ -373,8 +375,8 @@ def decode_partial(data: bytes):
     r = _Reader(data)
     mode = _read_header(r, KIND_PARTIAL_SIGNATURE)
     x, proof_len = struct.unpack("<HH", r.take(4))
-    if not 1 <= x <= 64:
-        raise FieldError(f"participant_x {x} out of range [1, 64]")
+    if not 1 <= x <= MAX_PARTICIPANTS:
+        raise FieldError(f"participant_x {x} out of range [1, {MAX_PARTICIPANTS}]")
     if proof_len != _PROOF_SIZES[mode]:
         raise FieldError(f"proof length {proof_len} inconsistent with mode {mode}")
     sigma = decode_polynomial(r.take(POLYNOMIAL_BYTES))

@@ -24,6 +24,11 @@ NORM_BOUND = 2 * CHALLENGE_WEIGHT * SECRET_BOUND
 # Length of per-member randomness, challenge digests and linkability tags.
 DIGEST_SIZE = 32
 
+# Ring sizes, and threshold participant counts, that signing and the codec accept.
+MIN_RING = 2
+MAX_RING = 64
+MAX_PARTICIPANTS = 64
+
 # Protocol domain-separation tags (byte-exact, pairwise distinct).
 DOMAIN_ACORN_RANDOMNESS = b"ACORN_RANDOMNESS_V1"
 DOMAIN_ACORN_COMMITMENT = b"ACORN_COMMITMENT_V1"

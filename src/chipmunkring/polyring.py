@@ -274,13 +274,15 @@ def sample_secret(seed: bytes, context: bytes) -> Polynomial:
     return Polynomial(coeffs=(k - SECRET_BOUND) % Q)
 
 
-@lru_cache(maxsize=512)
 def hash_to_poly(message: bytes) -> Polynomial:
     """Hash a message to a ternary polynomial with exactly 64 nonzero +-1 terms.
 
     Each placement attempt consumes three XOF bytes: two for the index
     (65536 is a multiple of n, so the reduction is unbiased) and one for the
     sign. Attempts landing on an occupied index are rejected.
+
+    Not memoized: a call costs 60-90 us, and a sign or a verify hashes its
+    challenge once (README, "Caches").
     """
     if len(message) == 0:
         raise ValueError("message must be nonempty")

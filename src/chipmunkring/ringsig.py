@@ -36,10 +36,7 @@ import numpy as np
 from . import hots
 from .acorn import create_proof, derive_randomness, linkability_tag, verify_proof
 from .errors import RingSizeError, SignerNotInRingError
-from .params import DIGEST_SIZE, RingParams
-
-MIN_RING = 2
-MAX_RING = 64
+from .params import DIGEST_SIZE, MAX_RING, MIN_RING, RingParams
 
 
 def check_ring_size(size: int) -> None:

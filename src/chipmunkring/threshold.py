@@ -19,7 +19,7 @@ candidates in ascending order against the first core-matching ring key.
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -31,12 +31,13 @@ from .params import (
     DIGEST_SIZE,
     DOMAIN_COORDINATION,
     DOMAIN_SIGNATURE_ZK,
+    MAX_PARTICIPANTS,
     N,
     Q,
     RingParams,
     ZK_DOMAIN_SECRET_SHARING,
 )
-from .polyring import Polynomial, _xof, add, hash_to_poly, mul, scalar_mul, zero
+from .polyring import Polynomial, _xof, add, hash_to_poly, mul
 from .ringsig import (
     Ring,
     RingSignature,
@@ -49,8 +50,6 @@ from .ringsig import (
     ring_hash,
     ring_verify_report,
 )
-
-MAX_PARTICIPANTS = 64
 
 
 @dataclass(frozen=True)
@@ -250,28 +249,26 @@ def combine(partials, message: bytes, ring: Ring, t: int,
             params: RingParams) -> RingSignature:
     """Combine exactly t partial signatures into a threshold ring signature.
 
-    Raises ByzantineShareError when the Lagrange-combined signature fails
-    core verification under every ring key, or when a partial's commitment
+    lagrange_at_zero rejects duplicate or zero points with ThresholdError
+    before the challenge is derived. sigma is one Lagrange-weighted sum of
+    the signature shares: weights and coefficients are below q < 2^22, so
+    each product is below 2^44 and a sum of at most MAX_PARTICIPANTS = 64
+    of them below 2^50, well inside int64.
+
+    Raises ByzantineShareError when the combined signature fails core
+    verification under every ring key, or when a partial's commitment
     does not match its recomputation; both signal a corrupted share.
     """
     parts = sorted(partials, key=lambda p: p.participant_x)
-    if len(parts) < t:
-        raise ThresholdError(f"need {t} partial signatures, got {len(parts)}")
-    if len(parts) > t:
-        raise ThresholdError(f"expected exactly {t} partials, got {len(parts)}")
-    xs = [p.participant_x for p in parts]
-    if len(set(xs)) != len(xs):
-        raise ThresholdError("duplicate participant points")
-
+    if len(parts) != t:
+        raise ThresholdError(f"need exactly {t} partial signatures, got {len(parts)}")
+    lag = lagrange_at_zero([p.participant_x for p in parts], Q)
     challenge, entries = threshold_challenge(message, ring, params)
-    lag = lagrange_at_zero(xs, Q)
-    combined = zero()
-    for L, part in zip(lag.coeffs, parts):
-        combined = add(combined, scalar_mul(L, part.sigma_share))
-    core = hots.ChipmunkSignature(sigma=combined)
+    sigma = np.array(lag.coeffs) @ np.stack([p.sigma_share.coeffs for p in parts]) % Q
+    sig = RingSignature(ring.size, t, challenge, entries,
+                        hots.ChipmunkSignature(sigma=Polynomial(coeffs=sigma)), b"")
 
-    masters = core_matches(RingSignature(ring.size, t, challenge, entries, core, b""),
-                           ring)
+    masters = core_matches(sig, ring)
     if not masters:
         raise ByzantineShareError(
             "combined signature verifies under no ring key; a share is corrupt"
@@ -284,16 +281,9 @@ def combine(partials, message: bytes, ring: Ring, t: int,
             raise ByzantineShareError(
                 f"commitment from participant {part.participant_x} is corrupt"
             )
-
-    block = b"".join(p.acorn_proof for p in parts) if t > 1 else b""
-    return RingSignature(
-        ring_size=ring.size,
-        required_signers=t,
-        challenge=challenge,
-        per_member=entries,
-        chipmunk_sig=core,
-        threshold_zk_proofs=block,
-    )
+    if t == 1:
+        return sig
+    return replace(sig, threshold_zk_proofs=b"".join(p.acorn_proof for p in parts))
 
 
 def _match_proofs_ascending(proofs, pk, challenge: bytes, params: RingParams) -> bool:

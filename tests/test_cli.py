@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from chipmunkring import codec, hots
+from chipmunkring import codec, hots, threshold
 from chipmunkring.cli import main
 
 SEED0 = "00" * 32
@@ -199,6 +199,26 @@ def test_bench_threshold_config(tmp_path, capsys, configs):
     assert rows[0] == BENCH_CSV_HEADER
     assert len(rows) == 2
     assert rows[1][1:4] == ["threshold", configs[0], "ok"]
+
+
+def test_bench_never_signs_two_challenges_with_one_key(monkeypatch, capsys):
+    # a one-time key (or key share) that signs twice gives its secret away
+    signed = {}
+
+    def recording(fn, key_of):
+        def wrapper(key, challenge, params):
+            signed.setdefault(key_of(key), set()).add(challenge)
+            return fn(key, challenge, params)
+        return wrapper
+
+    monkeypatch.setattr(hots, "sign", recording(hots.sign, lambda sk: sk.pk))
+    monkeypatch.setattr(threshold, "partial_sign",
+                        recording(threshold.partial_sign,
+                                  lambda share: (share.pk, share.participant_x)))
+    assert main(["bench", "--ring-sizes", "2,4", "--modes", "single,threshold",
+                 "--threshold-configs", "2/4,1/2", "--iterations", "10"]) == 0
+    assert len(signed) == 2 * 13 + (2 + 1) * 13  # 3 warm-up + 10 ops a config
+    assert all(len(challenges) == 1 for challenges in signed.values())
 
 
 def test_bench_iterations_floor():

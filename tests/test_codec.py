@@ -1,4 +1,5 @@
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -297,6 +298,36 @@ def test_share_bad_config_rejected(key_pool):
     data[HEADER_BYTES] = 0  # participant_x low byte -> 0, out of range
     with pytest.raises(FieldError):
         decode_share(bytes(data))
+
+
+def _patched(data, fmt, *values):
+    """data with the fields right after the header overwritten."""
+    out = bytearray(data)
+    field = struct.pack(fmt, *values)
+    out[HEADER_BYTES:HEADER_BYTES + len(field)] = field
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind, fmt, values, message", [
+    ("signature", "<HH", (1, 1), "ring_size 1 out of range [2, 64]"),
+    ("signature", "<HH", (65, 1), "ring_size 65 out of range [2, 64]"),
+    ("signature", "<HH", (2, 0), "required_signers 0 out of range [1, 64]"),
+    ("signature", "<HH", (2, 65), "required_signers 65 out of range [1, 64]"),
+    ("share", "<HHH", (1, 2, 65), "invalid threshold configuration t=2, n=65"),
+    ("partial", "<H", (65,), "participant_x 65 out of range [1, 64]"),
+])
+def test_decoder_size_bound_messages(key_pool, multi_params, kind, fmt, values, message):
+    share = threshold.deal_shares(key_pool[0][0], 2, 3, b"\x23" * 32)[0]
+    blob, decode = {
+        "signature": (encode_signature(synthetic_signature(2)), decode_signature),
+        "share": (encode_share(share), decode_share),
+        "partial": (encode_partial(threshold.partial_sign(share, b"\x43" * 32,
+                                                          multi_params)),
+                    decode_partial),
+    }[kind]
+    with pytest.raises(FieldError) as info:
+        decode(_patched(blob, fmt, *values))
+    assert str(info.value) == message
 
 
 def test_roundtrip_bijectivity_1000_per_kind():

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chipmunkring import hots, threshold
+from chipmunkring import hots, ringsig, threshold
 from chipmunkring.acorn import linkability_tag
 from chipmunkring.errors import ByzantineShareError, ThresholdError
 from chipmunkring.params import N, Q, ZK_DOMAIN_SECRET_SHARING
@@ -327,6 +327,38 @@ def test_combine_rejects_duplicate_points(key_pool, multi_params):
     p = partial_sign(shares[0], challenge, multi_params)
     with pytest.raises(ThresholdError):
         combine([p, p], MSG, ring, 2, multi_params)
+
+
+@pytest.mark.parametrize("t, n", [(1, 2), (2, 4), (64, 64)])
+def test_combine_sigma_matches_helper_reference(key_pool, multi_params, t, n):
+    # t = n = 64 is the largest sum: 64 products below q^2 < 2^44 each
+    ring = make_ring(key_pool, 4)
+    shares = deal_shares(key_pool[0][0], t, n, b"\x73" * 32)
+    challenge, _ = threshold_challenge(MSG, ring, multi_params)
+    partials = [partial_sign(s, challenge, multi_params) for s in shares[n - t:]]
+    sig = combine(partials, MSG, ring, t, multi_params)
+    lag = lagrange_at_zero([p.participant_x for p in partials], Q)
+    reference = zero()
+    for L, p in zip(lag.coeffs, partials):
+        reference = add(reference, scalar_mul(L, p.sigma_share))
+    assert sig.chipmunk_sig.sigma == reference
+    assert verify_signature(sig, MSG, ring, multi_params)
+
+
+def test_combine_rejects_bad_partial_lists_before_any_chain(key_pool, multi_params,
+                                                            monkeypatch):
+    ring = make_ring(key_pool, 4)
+    shares = deal_shares(key_pool[0][0], 2, 4, b"\x74" * 32)
+    challenge, _ = threshold_challenge(MSG, ring, multi_params)
+    p1, p2, p3 = (partial_sign(s, challenge, multi_params) for s in shares[:3])
+    chains = []
+    for module in (threshold, ringsig):
+        monkeypatch.setattr(module, "create_proof", lambda *a: chains.append(a))
+    # a message never signed: reaching its challenge would run chains
+    for partials in ([p1, p1], [p1], [p1, p2, p3]):
+        with pytest.raises(ThresholdError):
+            combine(partials, b"never signed", ring, 2, multi_params)
+    assert chains == []
 
 
 def test_byzantine_sigma_detected(key_pool, multi_params):
