@@ -252,8 +252,8 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     lagrange_at_zero rejects duplicate or zero points with ThresholdError
     before the challenge is derived. sigma is one Lagrange-weighted sum of
     the signature shares: weights and coefficients are below q < 2^22, so
-    each product is below 2^44 and a sum of at most MAX_PARTICIPANTS = 64
-    of them below 2^50, well inside int64.
+    each product is below 2^44, and a sum of MAX_PARTICIPANTS = 64 of them
+    is below 2^50; int64 overflows only past 2^19 of them.
 
     Raises ByzantineShareError when the combined signature fails core
     verification under every ring key, or when a partial's commitment
