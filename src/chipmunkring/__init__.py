@@ -57,7 +57,6 @@ from .ringsig import (
 )
 from .threshold import (
     KeyShare,
-    LagrangeCoefficients,
     PartialSignature,
     combine,
     deal_shares,

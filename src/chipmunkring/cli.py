@@ -2,11 +2,13 @@
 files, and a benchmark harness.
 
 Exit codes: 0 accept, 1 cryptographic reject, 2 structural/parse/usage
-failure, 3 I/O failure, 4 byzantine share detected.
+failure, 3 I/O failure, 4 byzantine share detected. Secret files (.sk,
+.shareNN) are created with mode 0600 and never overwritten (exit 3).
 """
 
 import argparse
 import csv
+import errno
 import hashlib
 import math
 import os
@@ -39,6 +41,13 @@ def _write(path: str, data: bytes) -> None:
         fh.write(data)
 
 
+def _write_secret(path: str, data: bytes) -> None:
+    """Create path with mode 0600; FileExistsError if anything is there."""
+    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(data)
+
+
 def _seed_bytes(hexstr, what="seed") -> bytes:
     if hexstr is None:
         return os.urandom(32)
@@ -64,8 +73,9 @@ def _params_for_signature(sig):
 def cmd_keygen(args) -> int:
     entropy = _seed_bytes(args.seed)
     sk, pk = hots.keygen(entropy, preset("single"))
+    # the secret first: a refused .sk leaves an existing .pk untouched
+    _write_secret(args.out + ".sk", codec.encode_private_key(sk))
     _write(args.out + ".pk", codec.encode_public_key(pk))
-    _write(args.out + ".sk", codec.encode_private_key(sk))
     print(f"wrote {args.out}.pk and {args.out}.sk")
     return EXIT_OK
 
@@ -105,9 +115,12 @@ def cmd_share(args) -> int:
     sk = codec.decode_private_key(_read(args.sk))
     entropy = _seed_bytes(args.seed)
     shares = threshold.deal_shares(sk, args.threshold, args.participants, entropy)
-    for share in shares:
-        path = f"{args.out_prefix}.share{share.participant_x:02d}"
-        _write(path, codec.encode_share(share))
+    paths = [f"{args.out_prefix}.share{share.participant_x:02d}" for share in shares]
+    for path in paths:  # all or none: no share is written while one would clash
+        if os.path.lexists(path):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    for path, share in zip(paths, shares):
+        _write_secret(path, codec.encode_share(share))
     print(f"wrote {len(shares)} share files "
           f"({args.threshold}-of-{args.participants})")
     return EXIT_OK

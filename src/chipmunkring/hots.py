@@ -20,7 +20,7 @@ each key contributes three numbers, A(psi), v0(psi) and v1(psi)
 (root_values). An identity that holds in the ring holds at every root, so
 only the keys that pass there can meet it, and only those get the full
 check over all n roots, in one batched transform. The work is k root tests
-plus a full check on that candidate set, the same whichever key signed.
+plus a full check of the distinct candidates, the same whichever key signed.
 A key computes its root values on its first core check and keeps them.
 The one cache of per-key work is codec.decode_public_key's LRU of 256
 decoded keys (four rings of 64), so a verifier that sees the same key
@@ -181,26 +181,28 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     key in pks at once: a boolean array of len(pks).
 
     Every key is first tested at the root psi as one (k,) comparison of
-    root values. The keys that pass, and only those, are then compared at
-    every root in the transform domain, where the NTT is a bijection, so
-    that is the same predicate without the inverse transforms: their A,
-    v0 and v1, sigma and H(M) go through one ntt_forward call. No key that
-    fails at psi can meet the identity, so the result is exact.
+    root values. The distinct keys that pass, and only those, are then
+    compared at every root in the transform domain, where the NTT is a
+    bijection, so that is the same predicate without the inverse
+    transforms: their A, v0 and v1, sigma and H(M) go through one
+    ntt_forward call, and every index holding a key gets its result. No
+    key that fails at psi can meet the identity, so the result is exact.
     """
     sigma, h = sig.sigma.coeffs, hash_to_poly(message).coeffs
     s_psi, h_psi = eval_at_psi((sigma, h)).tolist()
     at = np.array([root_values(pk) for pk in pks], dtype=np.int64)  # (k, 3)
     held = _meets(at[:, 0], at[:, 1], at[:, 2], s_psi, h_psi)
-    candidates = np.flatnonzero(held)
-    if len(candidates):
+    candidates = np.flatnonzero(held).tolist()
+    if candidates:
+        distinct = {pks[j].encoded: pks[j] for j in candidates}  # equal bytes: one key
         rows = [sigma, h]
-        for j in candidates:
-            pk = pks[j]
+        for pk in distinct.values():
             rows += (expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs, pk.v1.coeffs)
         f = ntt_forward(rows)
         keys = f[2:].reshape(-1, 3, N)
-        held[candidates] = _meets(keys[:, 0], keys[:, 1], keys[:, 2],
-                                  f[0], f[1]).all(axis=1)
+        met = dict(zip(distinct, _meets(keys[:, 0], keys[:, 1], keys[:, 2],
+                                        f[0], f[1]).all(axis=1).tolist()))
+        held[candidates] = [met[pks[j].encoded] for j in candidates]
     return held
 
 

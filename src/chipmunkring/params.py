@@ -29,29 +29,18 @@ MIN_RING = 2
 MAX_RING = 64
 MAX_PARTICIPANTS = 64
 
-# Protocol domain-separation tags (byte-exact, pairwise distinct).
+# Domain-separation tags (byte-exact, pairwise distinct). Each is hashed
+# somewhere; the paper's other named contexts have no constant (see README).
 DOMAIN_ACORN_RANDOMNESS = b"ACORN_RANDOMNESS_V1"
 DOMAIN_ACORN_COMMITMENT = b"ACORN_COMMITMENT_V1"
 DOMAIN_ACORN_LINKABILITY = b"ACORN_LINKABILITY_V1"
 DOMAIN_SIGNATURE_ZK = b"ChipmunkRing-Signature-ZK"
 DOMAIN_COORDINATION = b"ChipmunkRing-Coordination"
-DOMAIN_VERIFICATION = b"CHIPMUNK_RING_ZK_VERIFY"
 
-# Expansion tags for key material derivation.
+# Expansion tags for key material derivation and dealing.
 DOMAIN_MATRIX = b"CHIPMUNK_RING_MATRIX_V1"
 DOMAIN_HASH_TO_POLY = b"CHIPMUNK_RING_H2P_V1"
-
-# Named ZK proof contexts. Only the names are standardized; the byte values
-# follow this library's versioned convention (see README).
-ZK_DOMAIN_MULTI_SIGNER = b"CHIPMUNK_RING_ZK_MULTI_SIGNER_V1"
-ZK_DOMAIN_SINGLE_SIGNER = b"CHIPMUNK_RING_ZK_SINGLE_SIGNER_V1"
-ZK_DOMAIN_THRESHOLD = b"CHIPMUNK_RING_ZK_THRESHOLD_V1"
 ZK_DOMAIN_SECRET_SHARING = b"CHIPMUNK_RING_ZK_SECRET_SHARING_V1"
-ZK_DOMAIN_COMMITMENT = b"CHIPMUNK_RING_ZK_COMMITMENT_V1"
-ZK_DOMAIN_RESPONSE = b"CHIPMUNK_RING_ZK_RESPONSE_V1"
-ZK_DOMAIN_ENTERPRISE = b"CHIPMUNK_RING_ZK_ENTERPRISE_V1"
-ZK_DOMAIN_COORDINATION = b"CHIPMUNK_RING_ZK_COORDINATION_V1"
-ZK_DOMAIN_AGGREGATION = b"CHIPMUNK_RING_ZK_AGGREGATION_V1"
 
 ALL_DOMAIN_TAGS = (
     DOMAIN_ACORN_RANDOMNESS,
@@ -59,18 +48,9 @@ ALL_DOMAIN_TAGS = (
     DOMAIN_ACORN_LINKABILITY,
     DOMAIN_SIGNATURE_ZK,
     DOMAIN_COORDINATION,
-    DOMAIN_VERIFICATION,
     DOMAIN_MATRIX,
     DOMAIN_HASH_TO_POLY,
-    ZK_DOMAIN_MULTI_SIGNER,
-    ZK_DOMAIN_SINGLE_SIGNER,
-    ZK_DOMAIN_THRESHOLD,
     ZK_DOMAIN_SECRET_SHARING,
-    ZK_DOMAIN_COMMITMENT,
-    ZK_DOMAIN_RESPONSE,
-    ZK_DOMAIN_ENTERPRISE,
-    ZK_DOMAIN_COORDINATION,
-    ZK_DOMAIN_AGGREGATION,
 )
 
 

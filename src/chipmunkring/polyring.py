@@ -65,20 +65,6 @@ class Polynomial:
         return Polynomial, (self.coeffs,)
 
 
-def zero() -> Polynomial:
-    """The zero polynomial."""
-    return Polynomial(coeffs=np.zeros(N, dtype=np.int64))
-
-
-def monomial(coeff: int, degree: int) -> Polynomial:
-    """c * X^degree."""
-    if not 0 <= degree < N:
-        raise ValueError(f"degree {degree} out of range")
-    c = np.zeros(N, dtype=np.int64)
-    c[degree] = coeff % Q
-    return Polynomial(coeffs=c)
-
-
 def infinity_norm(p: Polynomial) -> int:
     """Centered infinity norm max |c_i|."""
     return int(np.minimum(p.coeffs, Q - p.coeffs).max())
@@ -208,11 +194,6 @@ def ntt_cached(p: Polynomial) -> np.ndarray:
 def add(p: Polynomial, r: Polynomial) -> Polynomial:
     """Coefficient-wise sum mod q."""
     return Polynomial(coeffs=(p.coeffs + r.coeffs) % Q)
-
-
-def scalar_mul(c: int, p: Polynomial) -> Polynomial:
-    """Scalar-by-polynomial product mod q."""
-    return Polynomial(coeffs=(p.coeffs * (c % Q)) % Q)
 
 
 def mul(p: Polynomial, r: Polynomial) -> Polynomial:

@@ -71,13 +71,7 @@ class PartialSignature:
     acorn_proof: bytes
 
 
-@dataclass(frozen=True)
-class LagrangeCoefficients:
-    points: tuple
-    coeffs: tuple
-
-
-def lagrange_at_zero(points, q: int = Q) -> LagrangeCoefficients:
+def lagrange_at_zero(points) -> tuple:
     """Weights L_i with sum L_i * f(x_i) = f(0) for deg(f) < len(points).
 
     L_i = prod_{j != i} x_j * (x_j - x_i)^-1 mod q, inverses by
@@ -88,11 +82,11 @@ def lagrange_at_zero(points, q: int = Q) -> LagrangeCoefficients:
         raise ThresholdError("empty point set")
     seen = set()
     for x in pts:
-        if x % q == 0:
+        if x % Q == 0:
             raise ThresholdError(f"evaluation point {x} is zero mod q")
-        if x % q in seen:
+        if x % Q in seen:
             raise ThresholdError(f"duplicate evaluation point {x}")
-        seen.add(x % q)
+        seen.add(x % Q)
     coeffs = []
     for i, xi in enumerate(pts):
         num = 1
@@ -100,10 +94,10 @@ def lagrange_at_zero(points, q: int = Q) -> LagrangeCoefficients:
         for j, xj in enumerate(pts):
             if j == i:
                 continue
-            num = num * xj % q
-            den = den * (xj - xi) % q
-        coeffs.append(num * pow(den, q - 2, q) % q)
-    return LagrangeCoefficients(points=pts, coeffs=tuple(coeffs))
+            num = num * xj % Q
+            den = den * (xj - xi) % Q
+        coeffs.append(num * pow(den, Q - 2, Q) % Q)
+    return tuple(coeffs)
 
 
 def share_scalar(secret, rand_coeffs, xs, q: int = Q):
@@ -134,29 +128,27 @@ def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
 
     Row j reads its own SHAKE stream as 4-byte little-endian words and keeps
     the first count below the largest multiple of q under 2^32, reduced mod
-    q. All streams are read at one length and filtered in one pass. A row
-    short of count words there (at least 17 of its count + 16 words
-    rejected, each with probability about 2^-11) is read again at twice the
-    length, which extends its stream, until it has count.
+    q. Every row still short of count is read at one length and filtered
+    in one pass, first at count + 16 words; a row short there (at least 17
+    words rejected, each with probability about 2^-11) is read again with
+    the others at twice the length, which extends its stream.
     """
     streams = [ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", j)
                for j in range(rows)]
-    length = 4 * count + 64
-    words = np.frombuffer(b"".join(_xof(data, length) for data in streams),
-                          dtype="<u4").reshape(rows, -1)
-    kept = words < _SHARE_LIMIT
-    rank = np.cumsum(kept, axis=1)
-    full = rank[:, -1] >= count
     out = np.empty((rows, count), dtype=np.int64)
-    picked = words[kept & (rank <= count) & full[:, None]] % Q
-    out[full] = picked.reshape(np.count_nonzero(full), count)
-    for j in np.flatnonzero(~full):
-        size, row = length, words[j][kept[j]]
-        while len(row) < count:
-            size *= 2
-            row = np.frombuffer(_xof(streams[j], size), dtype="<u4")
-            row = row[row < _SHARE_LIMIT]
-        out[j] = row[:count] % Q
+    short = np.arange(rows)
+    length = 4 * count + 64
+    while len(short):
+        data = b"".join(_xof(streams[j], length) for j in short.tolist())
+        words = np.frombuffer(data, dtype="<u4").reshape(len(short), -1)
+        kept = words < _SHARE_LIMIT
+        rank = np.cumsum(kept, axis=1)
+        full = rank[:, -1] >= count
+        picked = words[kept & (rank <= count) & full[:, None]] % Q
+        # count_nonzero, not -1: reshape(-1, 0) fails when t = 1
+        out[short[full]] = picked.reshape(np.count_nonzero(full), count)
+        short = short[~full]
+        length *= 2
     return out
 
 
@@ -262,9 +254,9 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     parts = sorted(partials, key=lambda p: p.participant_x)
     if len(parts) != t:
         raise ThresholdError(f"need exactly {t} partial signatures, got {len(parts)}")
-    lag = lagrange_at_zero([p.participant_x for p in parts], Q)
+    lag = lagrange_at_zero([p.participant_x for p in parts])
     challenge, entries = threshold_challenge(message, ring, params)
-    sigma = np.array(lag.coeffs) @ np.stack([p.sigma_share.coeffs for p in parts]) % Q
+    sigma = np.array(lag) @ np.stack([p.sigma_share.coeffs for p in parts]) % Q
     sig = RingSignature(ring.size, t, challenge, entries,
                         hots.ChipmunkSignature(sigma=Polynomial(coeffs=sigma)), b"")
 

@@ -1,4 +1,6 @@
 import csv
+import os
+import stat
 
 import pytest
 
@@ -43,6 +45,49 @@ def test_keygen_file_header(tmp_path):
     sk = (tmp_path / "k.sk").read_bytes()
     assert sk[:4] == b"CHRS"
     assert sk[6] == 2  # object kind: private key
+
+
+@pytest.fixture()
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def contents(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_secret_files_are_owner_only(tmp_path, umask_022):
+    assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED0]) == 0
+    assert main(["share", "--sk", str(tmp_path / "k.sk"), "--threshold", "2",
+                 "--participants", "3", "--out-prefix", str(tmp_path / "k"),
+                 "--seed", SEED1]) == 0
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"k.pk": 0o644, "k.sk": 0o600, "k.share01": 0o600,
+                     "k.share02": 0o600, "k.share03": 0o600}
+
+
+def test_keygen_never_overwrites(tmp_path, capsys):
+    assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED0]) == 0
+    before = contents(tmp_path)
+    assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED1]) == 3
+    assert "File exists" in capsys.readouterr().err
+    assert contents(tmp_path) == before
+
+
+@pytest.mark.parametrize("existing", [("k.share01", "k.share02", "k.share03"),
+                                      ("k.share03",)])
+def test_share_never_overwrites(tmp_path, existing):
+    assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED0]) == 0
+    for name in existing:
+        (tmp_path / name).write_bytes(b"kept " + name.encode())
+    before = contents(tmp_path)
+    # no share is written while any of the three would clash
+    assert main(["share", "--sk", str(tmp_path / "k.sk"), "--threshold", "2",
+                 "--participants", "3", "--out-prefix", str(tmp_path / "k"),
+                 "--seed", SEED1]) == 3
+    assert contents(tmp_path) == before
 
 
 def test_keygen_bad_seed(tmp_path):

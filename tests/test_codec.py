@@ -31,8 +31,9 @@ from chipmunkring.errors import (
 )
 from chipmunkring.hots import ChipmunkSignature
 from chipmunkring.params import N, Q
-from chipmunkring.polyring import Polynomial, zero
+from chipmunkring.polyring import Polynomial
 from chipmunkring.ringsig import MemberEntry, RingSignature
+from polyref import zero
 
 rng = random.Random(0x0DEC)
 

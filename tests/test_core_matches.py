@@ -26,12 +26,12 @@ from chipmunkring.polyring import (
     expand_matrix,
     hash_to_poly,
     infinity_norm,
-    monomial,
     mul,
     ntt_forward,
     sample_secret,
 )
 from chipmunkring.ringsig import Ring, RingSignature, core_matches
+from polyref import monomial
 
 rng = random.Random(0xC04E)
 
@@ -142,8 +142,9 @@ def test_root_values_are_per_key(key_pool, single_params, transforms):
     sig = hots.sign(key_pool[10][0], challenge, single_params)
     held = hots.identity_holds((a, b, a, a_again), challenge, sig)
     assert held.tolist() == [True, False, True, True]
-    # one transform: sigma, H(c) and the three positions that pass at psi
-    assert transforms == [(2 + 3 * 3, 512)]
+    # one transform: sigma, H(c) and the one distinct key of the three
+    # positions that pass at psi
+    assert transforms == [(2 + 3, 512)]
     assert all("_root_values" in vars(k) for k in (a, b, a_again))
     assert hots.root_values(a_again) == hots.root_values(a)
     assert hots.root_values(a) == hots.root_values(key_pool[10][1])
@@ -173,6 +174,31 @@ def test_clone_ring_gets_one_batched_full_check(single_params, transforms):
     assert core_matches(sig, ring) == list(range(8))
     assert transforms == [(2 + 3 * 8, 512)]
     check(sig, ring, single_params, list(range(8)))
+
+
+def test_repeated_key_gets_one_full_check(key_pool, single_params, transforms,
+                                          monkeypatch):
+    # one key listed 64 times: one transform of 2 + 3 rows and one expansion
+    # of A in the full check, and the result at every position
+    sk, pk = key_pool[13]
+    hots.root_values(pk)  # the root test's own expansion, made beforehand
+    challenge = rng.randbytes(32)
+    sig = hots.sign(sk, challenge, single_params)
+    expansions = []
+    real = hots.expand_matrix
+    monkeypatch.setattr(hots, "expand_matrix",
+                        lambda seed: expansions.append(seed) or real(seed))
+    transforms.clear()
+    assert hots.identity_holds((pk,) * 64, challenge, sig).tolist() == [True] * 64
+    assert transforms == [(2 + 3, 512)]
+    assert expansions == [pk.rho_seed]
+    # an equal key object, rebuilt from the same bytes, shares that check too
+    twin = pickle.loads(pickle.dumps(pk))
+    ring = (key_pool[14][1], pk, twin) * 21 + (pk,)
+    transforms.clear()
+    held = hots.identity_holds(ring, challenge, sig)
+    assert np.flatnonzero(held).tolist() == [j for j in range(64) if j % 3 or j == 63]
+    assert transforms == [(2 + 3, 512)]
 
 
 def test_passing_at_psi_alone_is_not_enough(key_pool, single_params, transforms):

@@ -12,8 +12,8 @@ from chipmunkring.polyring import (
     infinity_norm,
     mul,
     sample_secret,
-    zero,
 )
+from polyref import zero
 
 rng = random.Random(0x4075)
 

@@ -1,0 +1,71 @@
+"""Every top-level function and class of the package, and every domain tag,
+has a use.
+
+A name is used when some module under src/chipmunkring refers to it (an
+import in __init__ counts), or when perfbench/tracing.py's TARGETS table
+names it, since the traced benchmark looks those up. Its own definition,
+and a tag's entry in ALL_DOMAIN_TAGS, are not uses. A helper that only
+tests need belongs under tests/.
+"""
+
+import ast
+import runpy
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chipmunkring"
+PERFBENCH = ROOT / "perfbench"
+TAG_PREFIXES = ("DOMAIN_", "ZK_DOMAIN_")
+
+
+def modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
+
+
+def definitions():
+    """(module, name) of each top-level function, class and domain tag."""
+    for module, tree in modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield module, node.name
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.startswith(TAG_PREFIXES):
+                        yield module, target.id
+
+
+class References(ast.NodeVisitor):
+    """Every name read, attribute named or name imported, outside the
+    ALL_DOMAIN_TAGS listing."""
+
+    def __init__(self):
+        self.names = set()
+
+    def visit_Assign(self, node):
+        if not any(isinstance(t, ast.Name) and t.id == "ALL_DOMAIN_TAGS"
+                   for t in node.targets):
+            self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        self.names.update(alias.name for alias in node.names)
+
+
+def test_every_name_has_a_use(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # tracing.py imports common
+    targets = runpy.run_path(str(PERFBENCH / "tracing.py"))["TARGETS"]
+    traced = {(module, name) for module, names in targets.items() for name in names}
+    refs = References()
+    for _, tree in modules():
+        refs.visit(tree)
+    unused = [f"{module}.{name}" for module, name in definitions()
+              if name not in refs.names and (module, name) not in traced]
+    assert unused == []

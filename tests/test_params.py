@@ -97,7 +97,6 @@ def test_domain_tags_byte_exact():
     assert params.DOMAIN_ACORN_LINKABILITY == b"ACORN_LINKABILITY_V1"
     assert params.DOMAIN_SIGNATURE_ZK == b"ChipmunkRing-Signature-ZK"
     assert params.DOMAIN_COORDINATION == b"ChipmunkRing-Coordination"
-    assert params.DOMAIN_VERIFICATION == b"CHIPMUNK_RING_ZK_VERIFY"
 
 
 def test_domain_tags_pairwise_distinct():

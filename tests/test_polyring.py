@@ -13,14 +13,12 @@ from chipmunkring.polyring import (
     expand_matrix,
     hash_to_poly,
     infinity_norm,
-    monomial,
     mul,
     ntt_forward,
     ntt_inverse,
     sample_secret,
-    scalar_mul,
-    zero,
 )
+from polyref import monomial, scalar_mul, zero
 
 rng = random.Random(0xC41)
 
