@@ -8,7 +8,6 @@ failure, 3 I/O failure, 4 byzantine share detected. Secret files (.sk,
 
 import argparse
 import csv
-import errno
 import hashlib
 import math
 import os
@@ -118,7 +117,7 @@ def cmd_share(args) -> int:
     paths = [f"{args.out_prefix}.share{share.participant_x:02d}" for share in shares]
     for path in paths:  # all or none: no share is written while one would clash
         if os.path.lexists(path):
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+            raise FileExistsError(f"refusing to overwrite {path}")
     for path, share in zip(paths, shares):
         _write_secret(path, codec.encode_share(share))
     print(f"wrote {len(shares)} share files "

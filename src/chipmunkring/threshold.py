@@ -142,7 +142,7 @@ def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
         data = b"".join(_xof(streams[j], length) for j in short.tolist())
         words = np.frombuffer(data, dtype="<u4").reshape(len(short), -1)
         kept = words < _SHARE_LIMIT
-        rank = np.cumsum(kept, axis=1)
+        rank = np.cumsum(kept, axis=1, dtype=np.int32)  # half int64's memory
         full = rank[:, -1] >= count
         picked = words[kept & (rank <= count) & full[:, None]] % Q
         # count_nonzero, not -1: reshape(-1, 0) fails when t = 1

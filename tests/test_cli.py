@@ -78,7 +78,7 @@ def test_keygen_never_overwrites(tmp_path, capsys):
 
 @pytest.mark.parametrize("existing", [("k.share01", "k.share02", "k.share03"),
                                       ("k.share03",)])
-def test_share_never_overwrites(tmp_path, existing):
+def test_share_never_overwrites(tmp_path, capsys, existing):
     assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED0]) == 0
     for name in existing:
         (tmp_path / name).write_bytes(b"kept " + name.encode())
@@ -87,6 +87,7 @@ def test_share_never_overwrites(tmp_path, existing):
     assert main(["share", "--sk", str(tmp_path / "k.sk"), "--threshold", "2",
                  "--participants", "3", "--out-prefix", str(tmp_path / "k"),
                  "--seed", SEED1]) == 3
+    assert "refusing to overwrite" in capsys.readouterr().err
     assert contents(tmp_path) == before
 
 
