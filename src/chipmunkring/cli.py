@@ -2,8 +2,9 @@
 files, and a benchmark harness.
 
 Exit codes: 0 accept, 1 cryptographic reject, 2 structural/parse/usage
-failure, 3 I/O failure, 4 byzantine share detected. Secret files (.sk,
-.shareNN) are created with mode 0600 and never overwritten (exit 3).
+failure, 3 I/O failure, 4 byzantine share detected. keygen and share
+never overwrite a file (exit 3); their secret files (.sk, .shareNN) are
+created with mode 0600.
 """
 
 import argparse
@@ -40,9 +41,16 @@ def _write(path: str, data: bytes) -> None:
         fh.write(data)
 
 
-def _write_secret(path: str, data: bytes) -> None:
-    """Create path with mode 0600; FileExistsError if anything is there."""
-    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
+def _refuse_existing(paths) -> None:
+    """FileExistsError if any of paths exists: all or none get written."""
+    for path in paths:
+        if os.path.lexists(path):
+            raise FileExistsError(f"refusing to overwrite {path}")
+
+
+def _write_new(path: str, data: bytes, mode: int = 0o600) -> None:
+    """Create path with mode (before umask); FileExistsError if anything is there."""
+    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, mode)
     with os.fdopen(fd, "wb") as fh:
         fh.write(data)
 
@@ -71,10 +79,11 @@ def _params_for_signature(sig):
 
 def cmd_keygen(args) -> int:
     entropy = _seed_bytes(args.seed)
+    sk_path, pk_path = args.out + ".sk", args.out + ".pk"
+    _refuse_existing((sk_path, pk_path))
     sk, pk = hots.keygen(entropy, preset("single"))
-    # the secret first: a refused .sk leaves an existing .pk untouched
-    _write_secret(args.out + ".sk", codec.encode_private_key(sk))
-    _write(args.out + ".pk", codec.encode_public_key(pk))
+    _write_new(sk_path, codec.encode_private_key(sk))
+    _write_new(pk_path, codec.encode_public_key(pk), 0o666)
     print(f"wrote {args.out}.pk and {args.out}.sk")
     return EXIT_OK
 
@@ -115,11 +124,9 @@ def cmd_share(args) -> int:
     entropy = _seed_bytes(args.seed)
     shares = threshold.deal_shares(sk, args.threshold, args.participants, entropy)
     paths = [f"{args.out_prefix}.share{share.participant_x:02d}" for share in shares]
-    for path in paths:  # all or none: no share is written while one would clash
-        if os.path.lexists(path):
-            raise FileExistsError(f"refusing to overwrite {path}")
+    _refuse_existing(paths)
     for path, share in zip(paths, shares):
-        _write_secret(path, codec.encode_share(share))
+        _write_new(path, codec.encode_share(share))
     print(f"wrote {len(shares)} share files "
           f"({args.threshold}-of-{args.participants})")
     return EXIT_OK

@@ -9,15 +9,18 @@ functions here and key lookups in rings need.
 Negacyclic multiplication runs through a length-512 NTT. ntt_forward and
 ntt_inverse each take an int64 array of shape (..., 512) with values in
 [0, q) and transform every row at once, so a caller with several
-polynomials stacks them and pays the nine stages' per-call overhead once;
-a lone polynomial is the (512,) case. Reduction is lazy (Longa and
-Naehrig, CANS 2016): a stage reduces only its twiddle product, forward
-values stay below 10q < 2^26 and products below 2^48, and one final % q
-restores [0, q); each kernel states its own bounds. eval_at_psi gives
-one transform coefficient, the value at the root psi of X^n + 1, as a
-single dot product. Sampling and hash-to-polynomial are deterministic
-SHAKE256 expansions. Every function here is pure, so unrestricted
-concurrent use is safe.
+polynomials stacks them and pays the per-call overhead once; a lone
+polynomial is the (512,) case. Each is a four-step transform (Bailey,
+1990): a row viewed as a 32 x 16 grid goes through one float64 matrix
+product from the left, an elementwise twiddle multiply and one matrix
+product from the right, each step reduced mod q. Values below q keep
+every product below 2^44 and every sum below 2^49 < 2^53, so float64
+holds each intermediate exactly and the result is bit-identical on any
+BLAS. Output i is the row's value at psi^(2 bitrev9(i) + 1). eval_at_psi
+gives one transform coefficient, the value at the root psi of X^n + 1,
+as a single dot product. Sampling and hash-to-polynomial are
+deterministic SHAKE256 expansions. Every function here is pure, so
+unrestricted concurrent use is safe.
 """
 
 import hashlib
@@ -72,7 +75,8 @@ def infinity_norm(p: Polynomial) -> int:
 
 #   NTT tables. psi is a primitive 2n-th root of unity mod q, found by a
 #   deterministic search over generator candidates 3, 5, 7, ... so that the
-#   tables (and every test vector) are stable across builds.
+#   tables (and every test vector) are stable across builds. Every table
+#   below indexes one array of the powers psi^e, e < 2n.
 
 def _find_psi() -> int:
     e = (Q - 1) // (2 * N)
@@ -84,20 +88,64 @@ def _find_psi() -> int:
         g += 2
 
 
-def _bitrev(x: int, bits: int) -> int:
-    y = 0
-    for i in range(bits):
-        y |= ((x >> i) & 1) << (bits - 1 - i)
-    return y
+def _bit_reversed(count: int) -> np.ndarray:
+    """0 .. count - 1, each with its log2(count) bits in reverse order."""
+    bits = count.bit_length() - 1
+    return np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(count)])
 
 
-_LOGN = N.bit_length() - 1
 PSI = _find_psi()
-_PSI_POWERS = np.array([pow(PSI, i, Q) for i in range(N)], dtype=np.int64)
+_PSI_ALL = np.ones(1, dtype=np.int64)  # psi^e for 0 <= e < 2n, doubling the run
+while len(_PSI_ALL) < 2 * N:
+    _PSI_ALL = np.concatenate((_PSI_ALL, _PSI_ALL * pow(PSI, len(_PSI_ALL), Q) % Q))
+_PSI_POWERS = _PSI_ALL[:N]
 _PSI_POWERS.flags.writeable = False
-_W = _PSI_POWERS[[_bitrev(i, _LOGN) for i in range(N)]]  # psi^bitrev(i)
-_W.flags.writeable = False
 _N_INV = pow(N, Q - 2, Q)
+
+#   The four-step layout (Bailey 1990). A row's coefficient j = j1 + 16 j2
+#   sits at (j2, j1) of its (32, 16) view; transform output i = 16 r + c
+#   is the value at psi^(2k + 1), k = bitrev9(i) = k2 + 32 k1 with
+#   k2 = bitrev5(r), k1 = bitrev4(c). Since psi^(2n) = 1, the exponent
+#   j (2k + 1) splits into the three factors below, and folding the bit
+#   reversals into the tables' rows and columns leaves no output gather.
+_ROWS, _COLS = 32, 16
+_ODD = 2 * _bit_reversed(_ROWS)[:, None] + 1  # 2 k2 + 1 of each output row
+_J1 = np.arange(_COLS)
+_J2 = np.arange(_ROWS)
+_K1 = _bit_reversed(_COLS)
+
+
+def _table(exponents, scale: int = 1) -> np.ndarray:
+    """Read-only float64 array of scale * psi^e mod q for an integer array e."""
+    t = (_PSI_ALL[exponents % (2 * N)] * scale % Q).astype(np.float64)
+    t.flags.writeable = False
+    return t
+
+
+_FORWARD = (
+    _table(_COLS * _ODD * _J2),                 # (32, 32), left: sums over j2
+    _table(_ODD * _J1),                         # (32, 16) twiddles
+    _table(2 * _ROWS * _J1[:, None] * _K1),     # (16, 16), right: sums over j1
+)
+_INVERSE = (
+    _table(-2 * _ROWS * _K1[:, None] * _J1),    # (16, 16), right: sums over k1
+    _table(-_ODD * _J1, _N_INV),                # (32, 16) twiddles times n^-1
+    _table(-_COLS * _J2[:, None] * _ODD.T),     # (32, 32), left: sums over k2
+)
+
+
+def _reduce(x: np.ndarray, scratch: np.ndarray) -> None:
+    """x %= q in place, for float64 integers 0 <= x < 2^49.
+
+    x / q < 2^28 is correctly rounded, so its error is at most 2^-26,
+    while a quotient that is not an integer is at least 1/q > 2^-22 from
+    one: the floor is exact, and so are its product with q and the
+    difference. scratch is a float64 buffer of x's shape.
+    """
+    np.divide(x, Q, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= Q
+    x -= scratch
 
 
 def ntt_forward(a) -> np.ndarray:
@@ -107,31 +155,29 @@ def ntt_forward(a) -> np.ndarray:
     in the one copy the kernel makes anyway. Coefficients must lie in
     [0, q). Returns a fresh int64 array of shape (..., n), each value in
     [0, q); a lone polynomial is the (n,) case. The input is not modified.
+
+    Each row, as a (32, 16) grid, is multiplied on the left by a (32, 32)
+    table, by a (32, 16) twiddle table elementwise, and on the right by a
+    (16, 16) table, with a reduction after each step, in float64. Every
+    product of two values below q is below 2^44 and every sum of at most
+    32 of them below 2^49, so each intermediate is an exactly represented
+    integer: the result is the same on any IEEE-754 BLAS, in any order
+    of summation.
     """
-    f = np.array(a, dtype=np.int64)
-    lead = f.shape[:-1]
-    # one buffer for every stage's y: a fresh one would coexist with the last
-    half = np.empty(f.size // 2, dtype=np.int64)
-    # Lazy reduction: only the twiddle product is reduced. A stage maps
-    # values below b to x + y and x + (q - y), below b + q, so the nine
-    # stages keep every value below 10q < 2^26 and every product t * z
-    # below 9q * q < 2^48; int64 never overflows. One % q ends it.
-    l = N // 2
-    wi = 1
-    while l > 0:
-        nb = N // (2 * l)
-        z = _W[wi:wi + nb, None]
-        wi += nb
-        v = f.reshape(*lead, nb, 2, l)
-        x, t = v[..., 0, :], v[..., 1, :]
-        y = np.multiply(t, z, out=half.reshape(*lead, nb, l))
-        y %= Q
-        np.subtract(x, y, out=t)
-        t += Q
-        x += y
-        l >>= 1
-    f %= Q
-    return f
+    x = np.array(a, dtype=np.float64)
+    out = np.empty(x.shape, dtype=np.int64)
+    w = out.view(np.float64)  # out's memory is the work buffer until the end
+    grid = x.shape[:-1] + (_ROWS, _COLS)
+    xg, wg = x.reshape(grid), w.reshape(grid)
+    left, twiddle, right = _FORWARD
+    np.matmul(left, xg, out=wg)
+    _reduce(w, x)
+    wg *= twiddle
+    _reduce(w, x)
+    np.matmul(wg, right, out=xg)
+    _reduce(x, w)
+    np.copyto(out, x, casting="unsafe")
+    return out
 
 
 def ntt_inverse(a) -> np.ndarray:
@@ -139,32 +185,23 @@ def ntt_inverse(a) -> np.ndarray:
 
     a is taken as by ntt_forward; values must lie in [0, q). Returns a
     fresh int64 array of shape (..., n), each coefficient in [0, q). The
-    input is not modified.
+    input is not modified. The steps mirror ntt_forward's, right product
+    first, with n^-1 folded into the twiddles; the same bounds hold.
     """
-    g = np.array(a, dtype=np.int64)
-    lead = g.shape[:-1]
-    half = np.empty(g.size // 2, dtype=np.int64)  # every stage's y - x, as above
-    # Lazy reduction: only the twiddle product is reduced. A stage maps
-    # values below b to x + y, below 2b, and to ((y - x) * z) % q, below q,
-    # where |y - x| < b; so after s stages every value is below 2^s q. The
-    # largest product, in the ninth stage, is below 2^8 q * q < 2^52; the
-    # values end below 2^9 q, so times n^-1 < q they stay below 2^53.
-    l = 1
-    wi = N
-    while l < N:
-        nb = N // (2 * l)
-        z = _W[wi - nb:wi][::-1, None]
-        wi -= nb
-        v = g.reshape(*lead, nb, 2, l)
-        x, y = v[..., 0, :], v[..., 1, :]
-        d = np.subtract(y, x, out=half.reshape(*lead, nb, l))
-        x += y
-        np.multiply(d, z, out=y)
-        y %= Q
-        l <<= 1
-    g *= _N_INV
-    g %= Q
-    return g
+    x = np.array(a, dtype=np.float64)
+    out = np.empty(x.shape, dtype=np.int64)
+    w = out.view(np.float64)
+    grid = x.shape[:-1] + (_ROWS, _COLS)
+    xg, wg = x.reshape(grid), w.reshape(grid)
+    right, twiddle, left = _INVERSE
+    np.matmul(xg, right, out=wg)
+    _reduce(w, x)
+    wg *= twiddle
+    _reduce(w, x)
+    np.matmul(left, wg, out=xg)
+    _reduce(x, w)
+    np.copyto(out, x, casting="unsafe")
+    return out
 
 
 def eval_at_psi(a) -> np.ndarray:

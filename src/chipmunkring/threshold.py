@@ -101,22 +101,30 @@ def lagrange_at_zero(points) -> tuple:
 
 
 def share_scalar(secret, rand_coeffs, xs, q: int = Q):
-    """Evaluate f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) at each x.
+    """Evaluate f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) mod q at each x.
 
-    Inputs are ints or int64 arrays of one shape S, reduced mod q; the result
-    has shape S + (len(xs),). Horner steps stay below 2q * max(xs) in int64
-    and run in place in one accumulator, so dealing makes no temporaries
-    of the accumulator's size.
+    Inputs are ints or int64 arrays of one shape S, reduced mod q here; the
+    result has shape S + (len(xs),). The sum is one float64 product of the
+    coefficients with the table of x^(k+1) mod q, plus the secret: with K
+    coefficients every value stays below K (q - 1)^2 + q, which must be
+    below 2^53 for float64 to hold it exactly, or ValueError is raised.
+    Dealing at t <= 64 has K <= 63, so its sums stay below 2^50.
     """
-    x = np.asarray(xs, dtype=np.int64)
-    acc = np.zeros(np.shape(secret) + x.shape, dtype=np.int64)
-    for c in reversed(rand_coeffs):
-        acc += np.expand_dims(c, -1)
-        acc *= x
-        acc %= q
-    acc += np.expand_dims(secret, -1)
-    acc %= q
-    return acc
+    count = len(rand_coeffs)
+    if count * (q - 1) ** 2 + q >= 1 << 53:
+        raise ValueError(f"{count} coefficients mod {q} can exceed 2^53")
+    x = np.asarray(xs, dtype=np.int64) % q
+    powers = np.empty((count,) + x.shape, dtype=np.float64)  # row k: x^(k+1) mod q
+    p = np.ones_like(x)
+    for row in powers:
+        p = p * x % q
+        row[...] = p
+    rand = np.moveaxis(np.asarray(rand_coeffs, dtype=np.int64) % q, 0, -1)
+    acc = rand.astype(np.float64) @ powers
+    acc += np.expand_dims(np.asarray(secret, dtype=np.int64) % q, -1)
+    out = acc.astype(np.int64)
+    out %= q
+    return out
 
 
 _SHARE_LIMIT = (1 << 32) // Q * Q  # largest multiple of q below 2^32

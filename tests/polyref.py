@@ -1,8 +1,10 @@
-"""Reference polynomials and the scalar product, for tests only.
+"""Reference polynomials, the scalar product and Horner sharing, for
+tests only.
 
-The library never needs them: combine weights every share in one product
-and no code builds a zero or a monomial. The tests use them to state
-expected values plainly.
+The library never needs them: combine weights every share in one product,
+no code builds a zero or a monomial, and threshold.share_scalar evaluates
+the sharing polynomials as one matrix product. The tests use them to
+state expected values plainly.
 """
 
 import numpy as np
@@ -28,3 +30,21 @@ def monomial(coeff: int, degree: int) -> Polynomial:
 def scalar_mul(c: int, p: Polynomial) -> Polynomial:
     """Scalar-by-polynomial product mod q."""
     return Polynomial(coeffs=(p.coeffs * (c % Q)) % Q)
+
+
+def horner_share(secret, rand_coeffs, xs, q: int = Q):
+    """share_scalar by Horner's rule, in int64.
+
+    f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) mod q at each x, for
+    ints or int64 arrays of one shape S; the result has shape
+    S + (len(xs),). Each step stays below 2q * max(xs).
+    """
+    x = np.asarray(xs, dtype=np.int64)
+    acc = np.zeros(np.shape(secret) + x.shape, dtype=np.int64)
+    for c in reversed(rand_coeffs):
+        acc += np.expand_dims(c, -1)
+        acc *= x
+        acc %= q
+    acc += np.expand_dims(secret, -1)
+    acc %= q
+    return acc

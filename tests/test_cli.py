@@ -68,11 +68,15 @@ def test_secret_files_are_owner_only(tmp_path, umask_022):
                      "k.share02": 0o600, "k.share03": 0o600}
 
 
-def test_keygen_never_overwrites(tmp_path, capsys):
+# existing[0] is the first path keygen checks
+@pytest.mark.parametrize("existing", [("k.sk", "k.pk"), ("k.pk",)])
+def test_keygen_never_overwrites(tmp_path, capsys, existing):
     assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED0]) == 0
+    for name in {"k.pk", "k.sk"} - set(existing):
+        (tmp_path / name).unlink()
     before = contents(tmp_path)
     assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED1]) == 3
-    assert "File exists" in capsys.readouterr().err
+    assert f"refusing to overwrite {tmp_path / existing[0]}" in capsys.readouterr().err
     assert contents(tmp_path) == before
 
 

@@ -144,15 +144,28 @@ def per_row(transform, a):
     return np.stack([transform(row) for row in a.reshape(-1, N)]).reshape(a.shape)
 
 
-@pytest.mark.parametrize("shape", [(N,), (3, N), (64, 3, N)])
+def module_tables():
+    """Every numpy array polyring holds at module level, tuples opened."""
+    for value in vars(polyring).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+# (194, N) is the most rows one core check transforms: sigma, H(c) and
+# (A, v0, v1) for each of 64 distinct keys
+@pytest.mark.parametrize("shape", [(N,), (3, N), (64, 3, N), (2, N), (5, N), (194, N)])
 def test_batched_ntt_matches_per_row(ntt_matrices, shape):
     forward, inverse = ntt_matrices
     nprng = np.random.default_rng(len(shape))
-    # all q - 1 gives the largest lazy intermediates in both directions
+    # all q - 1 gives the largest sum in every matrix product, both directions
     for a in (nprng.integers(0, Q, size=shape), np.zeros(shape, dtype=np.int64),
               np.full(shape, Q - 1, dtype=np.int64)):
         before = a.copy()
         f, g = ntt_forward(a), ntt_inverse(a)
+        for out in (f, g):
+            assert out.flags.writeable
+            assert not any(np.shares_memory(out, t) for t in (a, *module_tables()))
         assert f.shape == g.shape == shape and f.dtype == g.dtype == np.int64
         assert np.array_equal(f, per_row(ntt_forward, a))
         assert np.array_equal(f, per_row(lambda row: forward @ row % Q, a))

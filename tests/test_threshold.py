@@ -32,7 +32,7 @@ from chipmunkring.threshold import (
     verify_signature,
     verify_signature_report,
 )
-from polyref import scalar_mul, zero
+from polyref import horner_share, scalar_mul, zero
 
 rng = random.Random(0x7412)
 
@@ -99,6 +99,33 @@ def test_toy_field_share_distribution_exactly_uniform():
     for secret in range(q):
         seen = sorted(share_scalar(secret, [a], [x], q)[0] for a in range(q))
         assert seen == list(range(q))
+
+
+@pytest.mark.parametrize("t, n", [(1, 8), (16, 32), (64, 64)])
+def test_share_scalar_matches_horner(t, n):
+    xs = range(1, n + 1)
+    # all q - 1 gives the largest sum in the product
+    top = np.full(2 * N, Q - 1, dtype=np.int64)
+    high = np.full((t - 1, 2 * N), Q - 1, dtype=np.int64)
+    got = share_scalar(top, high, xs)
+    assert got.shape == (2 * N, n) and got.dtype == np.int64
+    assert np.array_equal(got, horner_share(top, high, xs, Q))
+    nprng = np.random.default_rng(t)
+    secret = nprng.integers(0, Q, size=2 * N)
+    rand = nprng.integers(0, Q, size=(t - 1, 2 * N))
+    assert np.array_equal(share_scalar(secret, rand, xs), horner_share(secret, rand, xs, Q))
+
+
+def test_share_scalar_refuses_sums_past_2_53():
+    # the most coefficients whose sum float64 still holds exactly
+    most = ((1 << 53) - Q - 1) // (Q - 1) ** 2
+    xs = [2, Q - 1, 12345]
+    high = [Q - 1] * most
+    assert np.array_equal(share_scalar(Q - 1, high, xs), horner_share(Q - 1, high, xs, Q))
+    with pytest.raises(ValueError, match=rf"^{most + 1} coefficients mod {Q} can exceed 2\^53$"):
+        share_scalar(Q - 1, high + [Q - 1], xs)
+    with pytest.raises(ValueError):
+        share_scalar(0, [1], [1], 1 << 27)
 
 
 def test_deal_t1_shares_equal_master(key_pool):
