@@ -84,7 +84,7 @@ def cmd_keygen(args) -> int:
     sk, pk = hots.keygen(entropy, preset("single"))
     _write_new(sk_path, codec.encode_private_key(sk))
     _write_new(pk_path, codec.encode_public_key(pk), 0o666)
-    print(f"wrote {args.out}.pk and {args.out}.sk")
+    print(f"wrote {pk_path} and {sk_path}")
     return EXIT_OK
 
 
