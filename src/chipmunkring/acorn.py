@@ -31,7 +31,6 @@ from .params import (
     DOMAIN_ACORN_RANDOMNESS,
     RingParams,
 )
-from . import codec
 
 
 # The proof comparison, in C; perfbench/tracing.py times it under this name.
@@ -69,7 +68,7 @@ def create_proof(pk, message: bytes, randomness: bytes, participant_index: int,
     state = (
         DOMAIN_ACORN_COMMITMENT
         + serialize_input(randomness, message, participant_index)
-        + codec.encode_public_key(pk)
+        + pk.encoded
     )
     width = max(params.proof_size, 32)
     for _ in range(params.iterations):

@@ -51,6 +51,7 @@ from .errors import (
     TruncatedDataError,
 )
 from .params import MAX_PARTICIPANTS, MAX_RING, MIN_RING, N, Q, preset
+from .polyring import Polynomial
 
 MAGIC = b"CHRS"
 VERSION = 1
@@ -157,8 +158,6 @@ def _unpack(data: bytes) -> np.ndarray:
 
 
 def decode_polynomial(data: bytes):
-    from .polyring import Polynomial
-
     if len(data) != POLYNOMIAL_BYTES:
         raise TruncatedDataError(
             f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}"
@@ -208,7 +207,6 @@ def _decode_public_key(data: bytes):
     truncation of v1, a bad coefficient in v1, trailing bytes.
     """
     from .hots import PublicKey
-    from .polyring import Polynomial
 
     r = _Reader(data)
     mode = _read_header(r, KIND_PUBLIC_KEY)

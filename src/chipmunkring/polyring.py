@@ -19,7 +19,10 @@ holds each intermediate exactly and the result is bit-identical on any
 BLAS. Output i is the row's value at psi^(2 bitrev9(i) + 1). eval_at_psi
 gives one transform coefficient, the value at the root psi of X^n + 1,
 as a single dot product. Sampling and hash-to-polynomial are
-deterministic SHAKE256 expansions. Every function here is pure, so
+deterministic SHAKE256 expansions; uniform_rows is the one rejection
+sampler of uniform Z_q values, behind both the public element A
+(expand_matrix) and the dealer's sharing polynomials
+(threshold._sharing_matrix). Every function here is pure, so
 unrestricted concurrent use is safe.
 """
 
@@ -73,20 +76,10 @@ def infinity_norm(p: Polynomial) -> int:
     return int(np.minimum(p.coeffs, Q - p.coeffs).max())
 
 
-#   NTT tables. psi is a primitive 2n-th root of unity mod q, found by a
-#   deterministic search over generator candidates 3, 5, 7, ... so that the
-#   tables (and every test vector) are stable across builds. Every table
-#   below indexes one array of the powers psi^e, e < 2n.
-
-def _find_psi() -> int:
-    e = (Q - 1) // (2 * N)
-    g = 3
-    while True:
-        y = pow(g, e, Q)
-        if pow(y, N, Q) == Q - 1:
-            return y
-        g += 2
-
+#   NTT tables. psi = 3^((q - 1) / 2n) = 1271614 is a primitive 2n-th root
+#   of unity mod q (psi^n = -1), fixed so that the tables and every test
+#   vector are stable across builds. Every table below indexes one array of
+#   the powers psi^e, e < 2n.
 
 def _bit_reversed(count: int) -> np.ndarray:
     """0 .. count - 1, each with its log2(count) bits in reverse order."""
@@ -94,7 +87,7 @@ def _bit_reversed(count: int) -> np.ndarray:
     return np.array([int(f"{i:0{bits}b}"[::-1], 2) for i in range(count)])
 
 
-PSI = _find_psi()
+PSI = pow(3, (Q - 1) // (2 * N), Q)
 _PSI_ALL = np.ones(1, dtype=np.int64)  # psi^e for 0 <= e < 2n, doubling the run
 while len(_PSI_ALL) < 2 * N:
     _PSI_ALL = np.concatenate((_PSI_ALL, _PSI_ALL * pow(PSI, len(_PSI_ALL), Q) % Q))
@@ -245,24 +238,49 @@ def _xof(data: bytes, length: int) -> bytes:
     return hashlib.shake_256(data).digest(length)
 
 
-def expand_matrix(seed: bytes) -> Polynomial:
-    """Expand the public element A from a 32-byte seed.
+_UNIFORM_LIMIT = (1 << 32) // Q * Q  # largest multiple of q below 2^32
 
-    Coefficients come from 4-byte little-endian words of the XOF stream,
-    rejection-sampled against the largest multiple of q below 2^32. Short
-    of n, the XOF is read at twice the length, which extends the stream.
+
+def uniform_rows(prefixes, count: int) -> np.ndarray:
+    """(len(prefixes), count) int64 array of uniform values in [0, q).
+
+    Row j holds the first count little-endian 4-byte words of
+    SHAKE256(prefixes[j]) that are below the largest multiple of q under
+    2^32, each reduced mod q. Every stream is read at count + 16 words, and
+    all are read again at twice the length while any row is short of count
+    (at least 17 words rejected, each with probability about 2^-11). A
+    longer read extends a shorter one, so the schedule never changes which
+    words are kept.
+
+    A row is its first count words unless one of them is rejected; such a
+    row (about 21% of single rows at count = n, 0.7% of rows at count = 15)
+    is filtered on its own. The mask that finds those rows is computed on
+    every call, so a rejected word adds only one row's filter, in a fresh
+    process too.
     """
+    length = 4 * count + 64
+    while True:
+        data = b"".join(_xof(p, length) for p in prefixes)
+        words = np.frombuffer(data, dtype="<u4").reshape(len(prefixes), length // 4)
+        kept = words < _UNIFORM_LIMIT
+        out = (words[:, :count] % Q).astype(np.int64)
+        for j, clean in enumerate(kept[:, :count].all(axis=1).tolist()):
+            if not clean:
+                row = words[j][kept[j]]
+                if len(row) < count:
+                    break  # read every stream again at twice the length
+                out[j] = row[:count] % Q
+        else:
+            return out
+        length *= 2
+
+
+def expand_matrix(seed: bytes) -> Polynomial:
+    """Expand the public element A from a 32-byte seed: one uniform_rows
+    row, read from DOMAIN_MATRIX + seed."""
     if len(seed) != 32:
         raise ValueError("matrix seed must be 32 bytes")
-    limit = (1 << 32) // Q * Q
-    data = DOMAIN_MATRIX + seed
-    length = 4 * N + 256
-    while True:
-        words = np.frombuffer(_xof(data, length), dtype="<u4")
-        kept = words[words < limit]
-        if len(kept) >= N:
-            return Polynomial(coeffs=kept[:N] % Q)
-        length *= 2
+    return Polynomial(coeffs=uniform_rows((DOMAIN_MATRIX + seed,), N)[0])
 
 
 #   Inverse-CDF table for the centered discrete Gaussian with parameter

@@ -2,12 +2,14 @@
 
 The dealer splits each of the master key's 1024 secret coefficients with an
 independent degree-(t-1) polynomial over Z_q (the dealer is the only
-trusted step). Each participant holds the evaluations at its own nonzero
-point x. Signing never reassembles the secrets: participants produce
-signature shares on a common challenge and the combiner takes the
-Lagrange-weighted sum at zero, which by linearity equals the master key's
-signature. Lagrange coefficients are computed once per signer set and
-reused for all 512 polynomial coefficients.
+trusted step). The random coefficients come from polyring.uniform_rows,
+the sampler that also expands every key's public element A. Each
+participant holds the evaluations at its own nonzero point x. Signing
+never reassembles the secrets: participants produce signature shares on a
+common challenge and the combiner takes the Lagrange-weighted sum at zero,
+which by linearity equals the master key's signature. Lagrange
+coefficients are computed once per signer set and reused for all 512
+polynomial coefficients.
 
 Coordination is local: the challenge every participant signs is a
 deterministic function of (message, ring), so no state travels between
@@ -24,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import codec, hots
+from . import hots
 from .acorn import constant_time_eq, create_proof, derive_randomness
 from .errors import ByzantineShareError, ThresholdError
 from .params import (
@@ -37,7 +39,7 @@ from .params import (
     RingParams,
     ZK_DOMAIN_SECRET_SHARING,
 )
-from .polyring import Polynomial, _xof, add, hash_to_poly, mul
+from .polyring import Polynomial, add, hash_to_poly, mul, uniform_rows
 from .ringsig import (
     Ring,
     RingSignature,
@@ -127,37 +129,12 @@ def share_scalar(secret, rand_coeffs, xs, q: int = Q):
     return out
 
 
-_SHARE_LIMIT = (1 << 32) // Q * Q  # largest multiple of q below 2^32
-
-
 def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
     """(rows, count) int64 array of random Z_q values; row j is one sharing
-    polynomial's coefficients.
-
-    Row j reads its own SHAKE stream as 4-byte little-endian words and keeps
-    the first count below the largest multiple of q under 2^32, reduced mod
-    q. Every row still short of count is read at one length and filtered
-    in one pass, first at count + 16 words; a row short there (at least 17
-    words rejected, each with probability about 2^-11) is read again with
-    the others at twice the length, which extends its stream.
-    """
-    streams = [ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", j)
-               for j in range(rows)]
-    out = np.empty((rows, count), dtype=np.int64)
-    short = np.arange(rows)
-    length = 4 * count + 64
-    while len(short):
-        data = b"".join(_xof(streams[j], length) for j in short.tolist())
-        words = np.frombuffer(data, dtype="<u4").reshape(len(short), -1)
-        kept = words < _SHARE_LIMIT
-        rank = np.cumsum(kept, axis=1, dtype=np.int32)  # half int64's memory
-        full = rank[:, -1] >= count
-        picked = words[kept & (rank <= count) & full[:, None]] % Q
-        # count_nonzero, not -1: reshape(-1, 0) fails when t = 1
-        out[short[full]] = picked.reshape(np.count_nonzero(full), count)
-        short = short[~full]
-        length *= 2
-    return out
+    polynomial's coefficients, polyring.uniform_rows' row for the stream
+    ZK_DOMAIN_SECRET_SHARING | entropy | u32 j."""
+    return uniform_rows([ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", j)
+                         for j in range(rows)], count)
 
 
 def check_threshold_config(t: int, n_participants: int) -> None:
@@ -200,7 +177,7 @@ def share_randomness_seed(pk: hots.PublicKey, participant_x: int) -> bytes:
     """Deterministic share-bound seed for a participant's commitment."""
     data = (
         DOMAIN_COORDINATION
-        + codec.encode_public_key(pk)
+        + pk.encoded
         + struct.pack("<I", participant_x)
     )
     return hashlib.shake_256(data).digest(32)

@@ -106,6 +106,25 @@ def test_sign_verify_roundtrip(workspace, capsys):
     assert "accept" in capsys.readouterr().out
 
 
+def test_sign_mode_multi_roundtrip(tmp_path, capsys):
+    names = ("alice", "bob", "carol")
+    for name, seed in zip(names, (SEED0, SEED1, SEED2)):
+        assert main(["keygen", "--out", str(tmp_path / name), "--seed", seed]) == 0
+    ring = ",".join(str(tmp_path / f"{name}.pk") for name in names)
+    msg = tmp_path / "message.bin"
+    msg.write_bytes(b"cli multi-mode message")
+    sig = tmp_path / "out.sig"
+    assert main(["sign", "--sk", str(tmp_path / "bob.sk"), "--ring", ring,
+                 "--message", str(msg), "--out", str(sig), "--seed", SEED0,
+                 "--mode", "multi"]) == 0
+    data = sig.read_bytes()
+    assert len(data) == 1456 + 160 * 3  # member record: 32 + 96-byte proof + 32
+    assert data[7] == 2  # header mode byte: multi
+    capsys.readouterr()
+    assert main(["verify", "--sig", str(sig), "--ring", ring, "--message", str(msg)]) == 0
+    assert "accept" in capsys.readouterr().out
+
+
 def test_verify_rejects_modified_message(workspace, capsys):
     tmp_path, ring, msg, sig = workspace
     msg.write_bytes(msg.read_bytes() + b"\x00")

@@ -6,6 +6,9 @@ import in __init__ counts), or when perfbench/tracing.py's TARGETS table
 names it, since the traced benchmark looks those up. Its own definition,
 and a tag's entry in ALL_DOMAIN_TAGS, are not uses. A helper that only
 tests need belongs under tests/.
+
+No module imports another's private name: a decision two modules share
+belongs behind one public name.
 """
 
 import ast
@@ -69,3 +72,12 @@ def test_every_name_has_a_use(monkeypatch):
     unused = [f"{module}.{name}" for module, name in definitions()
               if name not in refs.names and (module, name) not in traced]
     assert unused == []
+
+
+def test_no_private_name_crosses_modules():
+    crossing = [f"{module}: from .{node.module} import {alias.name}"
+                for module, tree in modules()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names if alias.name.startswith("_")]
+    assert crossing == []

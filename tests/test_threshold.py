@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chipmunkring import hots, ringsig, threshold
+from chipmunkring import hots, polyring, ringsig, threshold
 from chipmunkring.acorn import linkability_tag
 from chipmunkring.errors import ByzantineShareError, ThresholdError
 from chipmunkring.params import N, Q, ZK_DOMAIN_SECRET_SHARING
@@ -170,13 +170,13 @@ def reference_sharing_coefficients(entropy, index, count):
     data = ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", index)
     limit = (1 << 32) // Q * Q
     length = 4 * count + 64
-    buf = threshold._xof(data, length)
+    buf = polyring._xof(data, length)
     out = []
     pos = 0
     while len(out) < count:
         if pos + 4 > len(buf):
             length *= 2
-            buf = threshold._xof(data, length)
+            buf = polyring._xof(data, length)
         word = int.from_bytes(buf[pos:pos + 4], "little")
         pos += 4
         if word < limit:
@@ -195,9 +195,9 @@ def test_sharing_matrix_matches_reference(count):
 
 def test_sharing_matrix_rejection_and_doubling_match_reference(monkeypatch):
     # row j's stream starts with 10 * (j % 5) words above the rejection
-    # limit: rows with 0 or 10 stay in the vectorised filter, rows with 20,
+    # limit: rows with 0 or 10 are filled from the first read, rows with 20,
     # 30 or 40 are short of count in the first read and must double it
-    shake = threshold._xof
+    shake = polyring._xof
     lengths = []
 
     def rejecting_xof(data, length):
@@ -205,7 +205,7 @@ def test_sharing_matrix_rejection_and_doubling_match_reference(monkeypatch):
         rejected = 10 * (int.from_bytes(data[-4:], "little") % 5)
         return (b"\xff" * 4 * rejected + shake(data, length))[:length]
 
-    monkeypatch.setattr(threshold, "_xof", rejecting_xof)
+    monkeypatch.setattr(polyring, "_xof", rejecting_xof)
     count, entropy = 15, b"\x5e" * 32
     got = threshold._sharing_matrix(entropy, 2 * N, count)
     want = [reference_sharing_coefficients(entropy, j, count) for j in range(2 * N)]
