@@ -5,8 +5,8 @@ with a domain tag, the serialized participant input, and the participant's
 encoded public key:
 
     B_0 = "ACORN_COMMITMENT_V1" | input(randomness, message, i) | pk bytes
-    B_j = SHAKE256(B_{j-1})          (chain width max(proof_size, 32))
-    proof = B_iterations[0:proof_size]
+    B_j = SHAKE256(B_{j-1}), proof_size bytes       (j = 1..iterations)
+    proof = B_iterations
 
 The serialized input layout is bit-exact:
 
@@ -70,10 +70,9 @@ def create_proof(pk, message: bytes, randomness: bytes, participant_index: int,
         + serialize_input(randomness, message, participant_index)
         + pk.encoded
     )
-    width = max(params.proof_size, 32)
     for _ in range(params.iterations):
-        state = hashlib.shake_256(state).digest(width)
-    return state[:params.proof_size]
+        state = hashlib.shake_256(state).digest(params.proof_size)
+    return state
 
 
 def verify_proof(proof: bytes, pk, message: bytes, randomness: bytes,

@@ -232,7 +232,7 @@ def _bench_threshold(t: int, n: int, iterations: int, warmup: int):
         sig = threshold.combine(partials, message, ring, t, params)
         t1 = time.perf_counter()
         # a fresh verifier holds none of the signer-side proof cache
-        threshold._expected_share_proof.cache_clear()
+        threshold.share_proof.cache_clear()
         t2 = time.perf_counter()
         # t = 1 combines into a single-signer signature, so verify as cmd_verify does
         ok = threshold.verify_signature(sig, message, ring, params)

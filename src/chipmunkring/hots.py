@@ -126,7 +126,8 @@ def keypair_from_secrets(rho_seed: bytes, s0: Polynomial, s1: Polynomial,
 def keygen(entropy: bytes, params: RingParams):
     """Generate a key pair, deterministic in the 32-byte entropy input.
 
-    Keys are the same in both parameter modes; params does not affect them.
+    Keys are the same in both modes. params is not read; perfbench passes
+    it, and it goes with the next change to the benchmark.
     """
     if len(entropy) != 32:
         raise ValueError("entropy must be 32 bytes")
@@ -136,10 +137,8 @@ def keygen(entropy: bytes, params: RingParams):
     return keypair_from_secrets(rho_seed, s0, s1, seed=entropy)
 
 
-def sign(sk: PrivateKey, message: bytes, params: RingParams) -> ChipmunkSignature:
-    """sigma = s0 * H(M) + s1; the same in both parameter modes."""
-    if len(message) == 0:
-        raise ValueError("message must be nonempty")
+def sign(sk: PrivateKey, message: bytes) -> ChipmunkSignature:
+    """sigma = s0 * H(M) + s1; hash_to_poly rejects an empty message."""
     sigma = add(mul(sk.s0, hash_to_poly(message)), sk.s1)
     return ChipmunkSignature(sigma=sigma)
 
@@ -206,21 +205,13 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     return held
 
 
-def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
-                  params: RingParams) -> str:
-    """Check a signature; returns 'ok', 'norm', or 'identity'.
-
-    The check is the same in both parameter modes; params does not affect it.
-    """
+def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature) -> str:
+    """Check a signature; returns 'ok', 'norm', or 'identity'."""
     if not norm_within_bound(sig):
         return "norm"
     return "ok" if identity_holds((pk,), message, sig)[0] else "identity"
 
 
-def verify(pk: PublicKey, message: bytes, sig: ChipmunkSignature,
-           params: RingParams) -> bool:
-    """Accept iff the signing identity holds and sigma is within the norm bound.
-
-    The same check in both parameter modes, as for verify_detail.
-    """
-    return verify_detail(pk, message, sig, params) == "ok"
+def verify(pk: PublicKey, message: bytes, sig: ChipmunkSignature) -> bool:
+    """Accept iff the signing identity holds and sigma is within the norm bound."""
+    return verify_detail(pk, message, sig) == "ok"

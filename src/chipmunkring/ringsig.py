@@ -47,11 +47,16 @@ def check_ring_size(size: int) -> None:
 
 @dataclass(frozen=True)
 class Ring:
-    """Ordered sequence of member public keys; order is significant."""
+    """Ordered sequence of member public keys; order is significant.
+
+    Any sequence is stored as a tuple, so a ring cannot change size after
+    its check and stays hashable.
+    """
 
     members: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
         check_ring_size(len(self.members))
 
     @property
@@ -145,7 +150,7 @@ def ring_sign(sk: hots.PrivateKey, signer_index: int, message: bytes, ring: Ring
         )
     entries, challenge = build_member_entries(message, ring, ring_hash(ring), entropy,
                                               params)
-    core = hots.sign(sk, challenge, params)
+    core = hots.sign(sk, challenge)
     return RingSignature(
         ring_size=ring.size,
         required_signers=1,

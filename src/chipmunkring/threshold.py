@@ -184,8 +184,10 @@ def share_randomness_seed(pk: hots.PublicKey, participant_x: int) -> bytes:
 
 
 @lru_cache(maxsize=1024)
-def _expected_share_proof(pk: hots.PublicKey, challenge: bytes, participant_x: int,
-                          params: RingParams) -> bytes:
+def share_proof(pk: hots.PublicKey, challenge: bytes, participant_x: int,
+                params: RingParams) -> bytes:
+    """The commitment proof participant x must carry on a challenge under
+    master key pk."""
     randomness = derive_randomness(share_randomness_seed(pk, participant_x),
                                    participant_x)
     return create_proof(pk, challenge, randomness, participant_x, params)
@@ -214,7 +216,7 @@ def partial_sign(share: KeyShare, challenge: bytes, params: RingParams) -> Parti
     if len(challenge) != DIGEST_SIZE:
         raise ValueError(f"challenge must be {DIGEST_SIZE} bytes")
     sigma_share = add(mul(share.s0_share, hash_to_poly(challenge)), share.s1_share)
-    proof = _expected_share_proof(share.pk, challenge, share.participant_x, params)
+    proof = share_proof(share.pk, challenge, share.participant_x, params)
     return PartialSignature(
         participant_x=share.participant_x,
         sigma_share=sigma_share,
@@ -252,8 +254,7 @@ def combine(partials, message: bytes, ring: Ring, t: int,
         )
     master_pk = ring.members[masters[0]]
     for part in parts:
-        expected = _expected_share_proof(master_pk, challenge,
-                                         part.participant_x, params)
+        expected = share_proof(master_pk, challenge, part.participant_x, params)
         if not constant_time_eq(part.acorn_proof, expected):
             raise ByzantineShareError(
                 f"commitment from participant {part.participant_x} is corrupt"
@@ -261,20 +262,6 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     if t == 1:
         return sig
     return replace(sig, threshold_zk_proofs=b"".join(p.acorn_proof for p in parts))
-
-
-def _match_proofs_ascending(proofs, pk, challenge: bytes, params: RingParams) -> bool:
-    """Greedy rebinding of embedded proofs to ascending participant points."""
-    x = 1
-    for proof in proofs:
-        while x <= MAX_PARTICIPANTS:
-            if constant_time_eq(proof, _expected_share_proof(pk, challenge, x, params)):
-                break
-            x += 1
-        if x > MAX_PARTICIPANTS:
-            return False
-        x += 1
-    return True
 
 
 def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
@@ -318,8 +305,11 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
         return VerifyReport(False, "core", "core signature matches no ring key")
     p = params.proof_size
     proofs = [sig.threshold_zk_proofs[i * p:(i + 1) * p] for i in range(t)]
-    if not _match_proofs_ascending(proofs, ring.members[masters[0]], sig.challenge,
-                                   params):
+    pk = ring.members[masters[0]]
+    # the proofs, in order, must carry ascending x: one pass over the x values
+    xs = iter(range(1, MAX_PARTICIPANTS + 1))
+    if not all(any(constant_time_eq(proof, share_proof(pk, sig.challenge, x, params))
+                   for x in xs) for proof in proofs):
         return VerifyReport(False, "threshold_acorn",
                             "embedded participant proofs do not verify")
     return VerifyReport(True, "ok")

@@ -40,6 +40,6 @@ def readme_caches():
 def test_every_cache_is_listed_in_the_readme():
     assert cached_functions() == readme_caches()
     assert {name.split(".")[1] for name in cached_functions()} == {
-        "ntt_cached", "_decode_public_key", "_expected_share_proof",
+        "ntt_cached", "_decode_public_key", "share_proof",
         "threshold_challenge",
     }

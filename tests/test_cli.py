@@ -275,9 +275,9 @@ def test_bench_never_signs_two_challenges_with_one_key(monkeypatch, capsys):
     signed = {}
 
     def recording(fn, key_of):
-        def wrapper(key, challenge, params):
+        def wrapper(key, challenge, *rest):
             signed.setdefault(key_of(key), set()).add(challenge)
-            return fn(key, challenge, params)
+            return fn(key, challenge, *rest)
         return wrapper
 
     monkeypatch.setattr(hots, "sign", recording(hots.sign, lambda sk: sk.pk))

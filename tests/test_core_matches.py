@@ -56,7 +56,7 @@ def check(sig, ring, params, expected):
     assert got == expected
     assert got == oracle_matches(sig, ring, params)
     assert got == [j for j, pk in enumerate(ring.members)
-                   if hots.verify(pk, sig.challenge, sig.chipmunk_sig, params)]
+                   if hots.verify(pk, sig.challenge, sig.chipmunk_sig)]
     assert all(type(j) is int for j in got)
 
 
@@ -65,7 +65,7 @@ def test_honest_signature_at_every_position(key_pool, single_params, k):
     ring = Ring(members=tuple(pk for _, pk in key_pool[:k]))
     for pos in range(k):
         challenge = rng.randbytes(32)
-        core = hots.sign(key_pool[pos][0], challenge, single_params)
+        core = hots.sign(key_pool[pos][0], challenge)
         check(core_signature(challenge, core), ring, single_params, [pos])
 
 
@@ -75,7 +75,7 @@ def test_signer_key_twice(key_pool, single_params, k):
     members = [pk for _, pk in key_pool[:k]]
     members[j] = members[i] = key_pool[0][1]
     challenge = rng.randbytes(32)
-    core = hots.sign(key_pool[0][0], challenge, single_params)
+    core = hots.sign(key_pool[0][0], challenge)
     check(core_signature(challenge, core), Ring(members=tuple(members)),
           single_params, [i, j])
 
@@ -91,7 +91,7 @@ def test_sigma_outside_norm_bound(key_pool, single_params, k):
     members[pos] = big_pk
     ring = Ring(members=tuple(members))
     challenge = rng.randbytes(32)
-    sig = core_signature(challenge, hots.sign(big_sk, challenge, single_params))
+    sig = core_signature(challenge, hots.sign(big_sk, challenge))
     assert hots.identity_holds((big_pk,), challenge, sig.chipmunk_sig)[0]
     check(sig, ring, single_params, [])
 
@@ -100,7 +100,7 @@ def test_sigma_outside_norm_bound(key_pool, single_params, k):
 def test_wrong_challenge(key_pool, single_params, k):
     ring = Ring(members=tuple(pk for _, pk in key_pool[:k]))
     challenge = rng.randbytes(32)
-    core = hots.sign(key_pool[k - 1][0], challenge, single_params)
+    core = hots.sign(key_pool[k - 1][0], challenge)
     check(core_signature(challenge, core), ring, single_params, [k - 1])
     check(core_signature(rng.randbytes(32), core), ring, single_params, [])
 
@@ -139,7 +139,7 @@ def test_root_values_are_per_key(key_pool, single_params, transforms):
     assert not any("_root_values" in vars(k) for k in (a, b, a_again))
 
     challenge = rng.randbytes(32)
-    sig = hots.sign(key_pool[10][0], challenge, single_params)
+    sig = hots.sign(key_pool[10][0], challenge)
     held = hots.identity_holds((a, b, a, a_again), challenge, sig)
     assert held.tolist() == [True, False, True, True]
     # one transform: sigma, H(c) and the one distinct key of the three
@@ -155,7 +155,7 @@ def test_full_check_runs_only_on_keys_that_pass_at_psi(key_pool, single_params,
                                                        transforms):
     ring = tuple(pk for _, pk in key_pool)
     challenge = rng.randbytes(32)
-    sig = hots.sign(key_pool[37][0], challenge, single_params)
+    sig = hots.sign(key_pool[37][0], challenge)
     assert np.flatnonzero(hots.identity_holds(ring, challenge, sig)).tolist() == [37]
     assert transforms == [(2 + 3, 512)]  # one full check, for the signer's key
     # no key passes at psi for another challenge, so nothing is transformed
@@ -169,7 +169,7 @@ def test_clone_ring_gets_one_batched_full_check(single_params, transforms):
     clones = [hots.keypair_from_secrets(bytes([i]) * 32, s0, s1) for i in range(8)]
     ring = Ring(members=tuple(pk for _, pk in clones))
     challenge = rng.randbytes(32)
-    sig = core_signature(challenge, hots.sign(clones[5][0], challenge, single_params))
+    sig = core_signature(challenge, hots.sign(clones[5][0], challenge))
     transforms.clear()  # keypair_from_secrets and sign transform too
     assert core_matches(sig, ring) == list(range(8))
     assert transforms == [(2 + 3 * 8, 512)]
@@ -183,7 +183,7 @@ def test_repeated_key_gets_one_full_check(key_pool, single_params, transforms,
     sk, pk = key_pool[13]
     hots.root_values(pk)  # the root test's own expansion, made beforehand
     challenge = rng.randbytes(32)
-    sig = hots.sign(sk, challenge, single_params)
+    sig = hots.sign(sk, challenge)
     expansions = []
     real = hots.expand_matrix
     monkeypatch.setattr(hots, "expand_matrix",
@@ -206,10 +206,10 @@ def test_passing_at_psi_alone_is_not_enough(key_pool, single_params, transforms)
     # is not zero, so the identity fails at the other roots
     sk, pk = key_pool[12]
     challenge = rng.randbytes(32)
-    sigma = hots.sign(sk, challenge, single_params).sigma
+    sigma = hots.sign(sk, challenge).sigma
     forged = hots.ChipmunkSignature(
         sigma=add(sigma, Polynomial(coeffs=[(-PSI) % Q, 1] + [0] * 510)))
     assert eval_at_psi(forged.sigma.coeffs) == eval_at_psi(sigma.coeffs)
     assert hots.identity_holds((pk,), challenge, forged).tolist() == [False]
     assert transforms == [(2 + 3, 512)]  # it reached the full check
-    assert not hots.verify(pk, challenge, forged, single_params)
+    assert not hots.verify(pk, challenge, forged)

@@ -56,14 +56,14 @@ def test_sign_s1_zero_reduction(single_params):
     s0 = sample_secret(b"\x31" * 32, b"s0")
     sk, _ = keypair_from_secrets(b"\x30" * 32, s0, zero())
     msg = b"identity reduction"
-    assert sign(sk, msg, single_params).sigma == mul(s0, hash_to_poly(msg))
+    assert sign(sk, msg).sigma == mul(s0, hash_to_poly(msg))
 
 
 def test_sign_norm_bound(key_pool, single_params):
     # |sigma| <= 64*4 + 4 = 260 by the sampler tail cuts; the 1000-pair
     # sweep lives in test_completeness_and_norm_1000
     for i, (sk, _) in enumerate(key_pool[:20]):
-        sig = sign(sk, b"norm trial %d" % i, single_params)
+        sig = sign(sk, b"norm trial %d" % i)
         assert infinity_norm(sig.sigma) <= 260
 
 
@@ -72,40 +72,40 @@ def test_completeness_and_norm_1000(single_params):
     for i, (sk, pk) in enumerate(keys):
         for j in range(5):
             msg = b"completeness %d %d" % (i, j)
-            sig = sign(sk, msg, single_params)
+            sig = sign(sk, msg)
             assert infinity_norm(sig.sigma) <= 260
-            assert verify(pk, msg, sig, single_params)
+            assert verify(pk, msg, sig)
 
 
 def test_verify_message_bitflip(key_pool, single_params):
     sk, pk = key_pool[0]
-    sig = sign(sk, b"original message", single_params)
-    assert verify(pk, b"original message", sig, single_params)
-    assert not verify(pk, b"priginal message", sig, single_params)
+    sig = sign(sk, b"original message")
+    assert verify(pk, b"original message", sig)
+    assert not verify(pk, b"priginal message", sig)
 
 
 def test_verify_norm_violation(key_pool, single_params):
     sk, pk = key_pool[1]
     msg = b"norm violation"
-    sig = sign(sk, msg, single_params)
+    sig = sign(sk, msg)
     coeffs = list(sig.sigma.coeffs)
     coeffs[0] = Q // 2
     big = ChipmunkSignature(sigma=sig.sigma.__class__(coeffs=tuple(coeffs)))
-    assert hots.verify_detail(pk, msg, big, single_params) == "norm"
+    assert hots.verify_detail(pk, msg, big) == "norm"
 
 
 def test_verify_wrong_key(key_pool, single_params):
     sk, _ = key_pool[2]
     _, other_pk = key_pool[3]
     msg = b"wrong key"
-    sig = sign(sk, msg, single_params)
-    assert hots.verify_detail(other_pk, msg, sig, single_params) == "identity"
+    sig = sign(sk, msg)
+    assert hots.verify_detail(other_pk, msg, sig) == "identity"
 
 
 def test_zero_signature_never_accepted(key_pool, single_params):
     z = ChipmunkSignature(sigma=zero())
     for sk, pk in key_pool[:20]:
-        assert not verify(pk, b"zero signature probe", z, single_params)
+        assert not verify(pk, b"zero signature probe", z)
 
 
 def test_homomorphic_linearity(single_params):
@@ -118,9 +118,9 @@ def test_homomorphic_linearity(single_params):
     skb, _ = keypair_from_secrets(rho, s0b, s1b)
     skc, _ = keypair_from_secrets(rho, add(s0a, s0b), add(s1a, s1b))
     msg = b"linearity"
-    siga = sign(ska, msg, single_params)
-    sigb = sign(skb, msg, single_params)
-    sigc = sign(skc, msg, single_params)
+    siga = sign(ska, msg)
+    sigb = sign(skb, msg)
+    sigc = sign(skc, msg)
     assert sigc.sigma == add(siga.sigma, sigb.sigma)
 
 
@@ -130,10 +130,10 @@ def test_verify_matches_literal_identity(key_pool, single_params):
     a = expand_matrix(pk.rho_seed)
     for j in range(5):
         msg = b"literal identity %d" % j
-        sig = sign(sk, msg, single_params)
+        sig = sign(sk, msg)
         lhs = mul(a, sig.sigma)
         rhs = add(mul(pk.v0, hash_to_poly(msg)), pk.v1)
-        assert (lhs == rhs) == verify(pk, msg, sig, single_params)
+        assert (lhs == rhs) == verify(pk, msg, sig)
         bad = ChipmunkSignature(sigma=add(sig.sigma, hash_to_poly(b"noise %d" % j)))
         lhs_bad = mul(a, bad.sigma)
-        assert (lhs_bad == rhs) == verify(pk, msg, bad, single_params)
+        assert (lhs_bad == rhs) == verify(pk, msg, bad)

@@ -7,8 +7,11 @@ names it, since the traced benchmark looks those up. Its own definition,
 and a tag's entry in ALL_DOMAIN_TAGS, are not uses. A helper that only
 tests need belongs under tests/.
 
-No module imports another's private name: a decision two modules share
-belongs behind one public name.
+Every parameter of every function is read, so an argument a function
+ignores cannot linger in its signature.
+
+No module imports or reaches into another's private name: a decision two
+modules share belongs behind one public name.
 """
 
 import ast
@@ -80,4 +83,33 @@ def test_no_private_name_crosses_modules():
                 for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names if alias.name.startswith("_")]
+    assert crossing == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for module, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{module}.{node.name}({a.arg})" for a in params
+                       if a.arg not in loaded]
+    # perfbench passes params to keygen; it goes with the next benchmark change
+    assert unread == ["hots.keygen(params)"]
+
+
+def test_no_private_attribute_crosses_modules():
+    crossing = []
+    for module, tree in modules():
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is None for alias in node.names}
+        crossing += [f"{module}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id in siblings and node.attr.startswith("_")]
     assert crossing == []

@@ -12,6 +12,7 @@ from chipmunkring.ringsig import (
     ring_verify,
     ring_verify_report,
 )
+from chipmunkring.threshold import threshold_challenge
 
 rng = random.Random(0x516)
 
@@ -28,6 +29,16 @@ def test_ring_size_limits(key_pool):
         Ring(members=(key_pool[0][1],))
     with pytest.raises(RingSizeError):
         Ring(members=tuple(pk for _, pk in key_pool) + (key_pool[0][1],))
+
+
+def test_ring_built_from_a_list_holds_a_tuple(key_pool, multi_params):
+    members = [pk for _, pk in key_pool[:2]]
+    ring = Ring(members=members)
+    assert ring.members == tuple(members)
+    members.append(key_pool[2][1])  # the caller's list no longer reaches the ring
+    assert ring.size == 2
+    assert threshold_challenge(MSG, ring, multi_params) == \
+        threshold_challenge(MSG, make_ring(key_pool, 2), multi_params)
 
 
 def test_ring_hash_deterministic(key_pool):
@@ -100,7 +111,7 @@ def test_verify_rejects_foreign_core_signature(key_pool, single_params):
     sig = ring_sign(key_pool[0][0], 0, MSG, ring, ENTROPY, single_params)
     outsider_sk, _ = key_pool[10]
     forged = dataclasses.replace(
-        sig, chipmunk_sig=hots.sign(outsider_sk, sig.challenge, single_params)
+        sig, chipmunk_sig=hots.sign(outsider_sk, sig.challenge)
     )
     report = ring_verify_report(forged, MSG, ring, single_params)
     assert not report.ok and report.reason == "core"
@@ -231,7 +242,7 @@ def test_hostile_verify_is_bounded_by_ring_size(key_pool, single_params, monkeyp
                     for e, p in zip(sig.per_member, proofs))
     hostile = dataclasses.replace(
         sig, challenge=challenge, per_member=entries,
-        chipmunk_sig=hots.sign(key_pool[5][0], challenge, single_params))
+        chipmunk_sig=hots.sign(key_pool[5][0], challenge))
 
     chains = []
     real = acorn.create_proof

@@ -258,7 +258,7 @@ def test_partial_t1_equals_master_signature(key_pool, multi_params):
     share = deal_shares(sk, 1, 2, b"\x65" * 32)[0]
     challenge = b"\x66" * 32
     partial = partial_sign(share, challenge, multi_params)
-    assert partial.sigma_share == hots.sign(sk, challenge, multi_params).sigma
+    assert partial.sigma_share == hots.sign(sk, challenge).sigma
 
 
 def test_partial_deterministic(key_pool, multi_params):
@@ -469,11 +469,11 @@ def test_threshold_verifier_does_not_check_member_proofs(key_pool, multi_params)
     challenge = challenge_digest(MSG, rhash, zip(randomness, proofs))
     tag = linkability_tag(rhash, MSG, challenge)
     entries = tuple(MemberEntry(r, p, tag) for r, p in zip(randomness, proofs))
-    block = b"".join(threshold._expected_share_proof(master_pk, challenge, x, multi_params)
+    block = b"".join(threshold.share_proof(master_pk, challenge, x, multi_params)
                      for x in (1, 2))
     sig = RingSignature(ring_size=ring.size, required_signers=2, challenge=challenge,
                         per_member=entries,
-                        chipmunk_sig=hots.sign(master_sk, challenge, multi_params),
+                        chipmunk_sig=hots.sign(master_sk, challenge),
                         threshold_zk_proofs=block)
     assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport(True, "ok")
     single = dataclasses.replace(sig, required_signers=1, threshold_zk_proofs=b"")
@@ -499,7 +499,7 @@ def test_rebinding_scan_is_bounded_with_duplicate_master_keys(key_pool, multi_pa
         return real(pk, message, randomness, x, params)
 
     monkeypatch.setattr(threshold, "create_proof", counted)
-    threshold._expected_share_proof.cache_clear()
+    threshold.share_proof.cache_clear()
     assert threshold_verify_report(sig, MSG, ring, multi_params).ok
     assert points == [1, 2, 3, 4]
 
@@ -508,13 +508,13 @@ def test_rebinding_scan_is_bounded_with_duplicate_master_keys(key_pool, multi_pa
         block[flipped] ^= 0x01
         forged = dataclasses.replace(sig, threshold_zk_proofs=bytes(block))
         points.clear()
-        threshold._expected_share_proof.cache_clear()
+        threshold.share_proof.cache_clear()
         report = threshold_verify_report(forged, MSG, ring, multi_params)
         assert report.reason == "threshold_acorn"
         # one scan's worth of proofs for three matching keys, not three
         assert len(points) <= threshold.MAX_PARTICIPANTS
         assert sorted(set(points)) == points
-    threshold._expected_share_proof.cache_clear()
+    threshold.share_proof.cache_clear()
 
 
 def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeypatch):
@@ -534,8 +534,8 @@ def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeyp
 
     # the same points bound to the second clone: combine never builds this,
     # and the verifier rebinds only to the first matching key
-    block = b"".join(threshold._expected_share_proof(clones[1][1], challenge, x,
-                                                     multi_params) for x in (1, 3))
+    block = b"".join(threshold.share_proof(clones[1][1], challenge, x, multi_params)
+                     for x in (1, 3))
     second = dataclasses.replace(sig, threshold_zk_proofs=block)
     assert threshold_verify_report(second, MSG, ring, multi_params).reason == "threshold_acorn"
 
@@ -550,9 +550,9 @@ def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeyp
     flipped = bytearray(sig.threshold_zk_proofs)
     flipped[0] ^= 0x01
     forged = dataclasses.replace(sig, threshold_zk_proofs=bytes(flipped))
-    threshold._expected_share_proof.cache_clear()
+    threshold.share_proof.cache_clear()
     report = threshold_verify_report(forged, MSG, ring, multi_params)
     assert report.reason == "threshold_acorn"
     # one scan against one key, not one per clone
     assert len(points) <= threshold.MAX_PARTICIPANTS
-    threshold._expected_share_proof.cache_clear()
+    threshold.share_proof.cache_clear()

@@ -57,7 +57,7 @@ def reference_verify_report(sig, message, ring, params):
     if not ok:
         return VerifyReport(False, "linkability", "linkability tag mismatch")
     matches = [j for j, pk in enumerate(ring.members)
-               if hots.verify(pk, sig.challenge, sig.chipmunk_sig, params)]
+               if hots.verify(pk, sig.challenge, sig.chipmunk_sig)]
     if not matches:
         return VerifyReport(False, "core", "core signature matches no ring key")
     return VerifyReport(True, "ok")
@@ -86,7 +86,7 @@ def resign(sk, sig, message, ring, proofs, params):
     entries = tuple(MemberEntry(randomness=r, acorn_proof=p, linkability=tag)
                     for r, p in pairs)
     return dataclasses.replace(sig, challenge=challenge, per_member=entries,
-                               chipmunk_sig=hots.sign(sk, challenge, params))
+                               chipmunk_sig=hots.sign(sk, challenge))
 
 
 def signature_fields(k, proof_size):
@@ -164,8 +164,7 @@ def test_early_stop_matches_full_scan(key_pool, single_params, k):
         b"\x7e" * 32, monomial(0, 0), monomial(NORM_BOUND + 1, 0))
     big_ring = Ring(members=ring.members[:-1] + (big_pk,))
     big = ring_sign(big_sk, k - 1, MSG, big_ring, ENTROPY, single_params)
-    assert hots.verify_detail(big_pk, big.challenge, big.chipmunk_sig,
-                              single_params) == "norm"
+    assert hots.verify_detail(big_pk, big.challenge, big.chipmunk_sig) == "norm"
     reasons.append(assert_same(big, MSG, big_ring, single_params).reason)
 
     # re-signed forgeries that reach the commitment check: no valid proof,
