@@ -1,4 +1,5 @@
 import csv
+import gc
 import os
 import stat
 
@@ -104,6 +105,21 @@ def test_sign_verify_roundtrip(workspace, capsys):
     rc = main(["verify", "--sig", str(sig), "--ring", ring, "--message", str(msg)])
     assert rc == 0
     assert "accept" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def unfreeze_after():
+    yield
+    gc.unfreeze()
+
+
+def test_main_freezes_the_heap_it_starts_with(workspace, unfreeze_after):
+    tmp_path, ring, msg, sig = workspace
+    gc.unfreeze()
+    rc = main(["verify", "--sig", str(sig), "--ring", ring, "--message", str(msg)])
+    assert rc == 0
+    # the interpreter's exit-time collection skips what main() froze
+    assert gc.get_freeze_count() > 0
 
 
 def test_sign_mode_multi_roundtrip(tmp_path, capsys):

@@ -36,7 +36,7 @@ from polyref import monomial
 rng = random.Random(0xC04E)
 
 
-def oracle_matches(sig, ring, params):
+def oracle_matches(sig, ring):
     sigma, h = sig.chipmunk_sig.sigma, hash_to_poly(sig.challenge)
     return [
         j for j, pk in enumerate(ring.members)
@@ -51,37 +51,36 @@ def core_signature(challenge, core):
                          per_member=(), chipmunk_sig=core, threshold_zk_proofs=b"")
 
 
-def check(sig, ring, params, expected):
+def check(sig, ring, expected):
     got = core_matches(sig, ring)
     assert got == expected
-    assert got == oracle_matches(sig, ring, params)
+    assert got == oracle_matches(sig, ring)
     assert got == [j for j, pk in enumerate(ring.members)
                    if hots.verify(pk, sig.challenge, sig.chipmunk_sig)]
     assert all(type(j) is int for j in got)
 
 
 @pytest.mark.parametrize("k", [2, 8, 64])
-def test_honest_signature_at_every_position(key_pool, single_params, k):
+def test_honest_signature_at_every_position(key_pool, k):
     ring = Ring(members=tuple(pk for _, pk in key_pool[:k]))
     for pos in range(k):
         challenge = rng.randbytes(32)
         core = hots.sign(key_pool[pos][0], challenge)
-        check(core_signature(challenge, core), ring, single_params, [pos])
+        check(core_signature(challenge, core), ring, [pos])
 
 
 @pytest.mark.parametrize("k", [2, 8, 64])
-def test_signer_key_twice(key_pool, single_params, k):
+def test_signer_key_twice(key_pool, k):
     i, j = 0, k - 1
     members = [pk for _, pk in key_pool[:k]]
     members[j] = members[i] = key_pool[0][1]
     challenge = rng.randbytes(32)
     core = hots.sign(key_pool[0][0], challenge)
-    check(core_signature(challenge, core), Ring(members=tuple(members)),
-          single_params, [i, j])
+    check(core_signature(challenge, core), Ring(members=tuple(members)), [i, j])
 
 
 @pytest.mark.parametrize("k", [2, 8, 64])
-def test_sigma_outside_norm_bound(key_pool, single_params, k):
+def test_sigma_outside_norm_bound(key_pool, k):
     # big_pk's signatures meet the identity but not the norm bound, so only
     # the norm gate can reject them
     big_sk, big_pk = hots.keypair_from_secrets(
@@ -93,16 +92,16 @@ def test_sigma_outside_norm_bound(key_pool, single_params, k):
     challenge = rng.randbytes(32)
     sig = core_signature(challenge, hots.sign(big_sk, challenge))
     assert hots.identity_holds((big_pk,), challenge, sig.chipmunk_sig)[0]
-    check(sig, ring, single_params, [])
+    check(sig, ring, [])
 
 
 @pytest.mark.parametrize("k", [2, 8, 64])
-def test_wrong_challenge(key_pool, single_params, k):
+def test_wrong_challenge(key_pool, k):
     ring = Ring(members=tuple(pk for _, pk in key_pool[:k]))
     challenge = rng.randbytes(32)
     core = hots.sign(key_pool[k - 1][0], challenge)
-    check(core_signature(challenge, core), ring, single_params, [k - 1])
-    check(core_signature(rng.randbytes(32), core), ring, single_params, [])
+    check(core_signature(challenge, core), ring, [k - 1])
+    check(core_signature(rng.randbytes(32), core), ring, [])
 
 
 def test_root_values(key_pool):
@@ -132,7 +131,7 @@ def transforms(monkeypatch):
     return shapes
 
 
-def test_root_values_are_per_key(key_pool, single_params, transforms):
+def test_root_values_are_per_key(key_pool, transforms):
     # pickling drops the root values, so these keys have none until the check
     a, b = (pickle.loads(pickle.dumps(key_pool[i][1])) for i in (10, 11))
     a_again = pickle.loads(pickle.dumps(a))
@@ -151,8 +150,7 @@ def test_root_values_are_per_key(key_pool, single_params, transforms):
     assert hots.root_values(b) == hots.root_values(key_pool[11][1])
 
 
-def test_full_check_runs_only_on_keys_that_pass_at_psi(key_pool, single_params,
-                                                       transforms):
+def test_full_check_runs_only_on_keys_that_pass_at_psi(key_pool, transforms):
     ring = tuple(pk for _, pk in key_pool)
     challenge = rng.randbytes(32)
     sig = hots.sign(key_pool[37][0], challenge)
@@ -163,7 +161,7 @@ def test_full_check_runs_only_on_keys_that_pass_at_psi(key_pool, single_params,
     assert transforms == [(2 + 3, 512)]
 
 
-def test_clone_ring_gets_one_batched_full_check(single_params, transforms):
+def test_clone_ring_gets_one_batched_full_check(transforms):
     # distinct keys from one (s0, s1): one sigma meets the identity for all
     s0, s1 = (sample_secret(b"\x3c" * 32, c) for c in (b"s0", b"s1"))
     clones = [hots.keypair_from_secrets(bytes([i]) * 32, s0, s1) for i in range(8)]
@@ -173,11 +171,10 @@ def test_clone_ring_gets_one_batched_full_check(single_params, transforms):
     transforms.clear()  # keypair_from_secrets and sign transform too
     assert core_matches(sig, ring) == list(range(8))
     assert transforms == [(2 + 3 * 8, 512)]
-    check(sig, ring, single_params, list(range(8)))
+    check(sig, ring, list(range(8)))
 
 
-def test_repeated_key_gets_one_full_check(key_pool, single_params, transforms,
-                                          monkeypatch):
+def test_repeated_key_gets_one_full_check(key_pool, transforms, monkeypatch):
     # one key listed 64 times: one transform of 2 + 3 rows and one expansion
     # of A in the full check, and the result at every position
     sk, pk = key_pool[13]
@@ -201,7 +198,7 @@ def test_repeated_key_gets_one_full_check(key_pool, single_params, transforms,
     assert transforms == [(2 + 3, 512)]
 
 
-def test_passing_at_psi_alone_is_not_enough(key_pool, single_params, transforms):
+def test_passing_at_psi_alone_is_not_enough(key_pool, transforms):
     # sigma + (X - psi) has the same value at psi as sigma, but A*(X - psi)
     # is not zero, so the identity fails at the other roots
     sk, pk = key_pool[12]

@@ -51,7 +51,7 @@ def test_rho_seed_collision_scan(single_params):
     assert len(seeds) == 100
 
 
-def test_sign_s1_zero_reduction(single_params):
+def test_sign_s1_zero_reduction():
     # with s1 = 0 the signing equation collapses to s0 * H(M)
     s0 = sample_secret(b"\x31" * 32, b"s0")
     sk, _ = keypair_from_secrets(b"\x30" * 32, s0, zero())
@@ -59,7 +59,7 @@ def test_sign_s1_zero_reduction(single_params):
     assert sign(sk, msg).sigma == mul(s0, hash_to_poly(msg))
 
 
-def test_sign_norm_bound(key_pool, single_params):
+def test_sign_norm_bound(key_pool):
     # |sigma| <= 64*4 + 4 = 260 by the sampler tail cuts; the 1000-pair
     # sweep lives in test_completeness_and_norm_1000
     for i, (sk, _) in enumerate(key_pool[:20]):
@@ -77,14 +77,14 @@ def test_completeness_and_norm_1000(single_params):
             assert verify(pk, msg, sig)
 
 
-def test_verify_message_bitflip(key_pool, single_params):
+def test_verify_message_bitflip(key_pool):
     sk, pk = key_pool[0]
     sig = sign(sk, b"original message")
     assert verify(pk, b"original message", sig)
     assert not verify(pk, b"priginal message", sig)
 
 
-def test_verify_norm_violation(key_pool, single_params):
+def test_verify_norm_violation(key_pool):
     sk, pk = key_pool[1]
     msg = b"norm violation"
     sig = sign(sk, msg)
@@ -94,7 +94,7 @@ def test_verify_norm_violation(key_pool, single_params):
     assert hots.verify_detail(pk, msg, big) == "norm"
 
 
-def test_verify_wrong_key(key_pool, single_params):
+def test_verify_wrong_key(key_pool):
     sk, _ = key_pool[2]
     _, other_pk = key_pool[3]
     msg = b"wrong key"
@@ -102,13 +102,13 @@ def test_verify_wrong_key(key_pool, single_params):
     assert hots.verify_detail(other_pk, msg, sig) == "identity"
 
 
-def test_zero_signature_never_accepted(key_pool, single_params):
+def test_zero_signature_never_accepted(key_pool):
     z = ChipmunkSignature(sigma=zero())
     for sk, pk in key_pool[:20]:
         assert not verify(pk, b"zero signature probe", z)
 
 
-def test_homomorphic_linearity(single_params):
+def test_homomorphic_linearity():
     rho = b"\x77" * 32
     s0a = sample_secret(b"\x01" * 32, b"la0")
     s1a = sample_secret(b"\x01" * 32, b"la1")
@@ -124,7 +124,7 @@ def test_homomorphic_linearity(single_params):
     assert sigc.sigma == add(siga.sigma, sigb.sigma)
 
 
-def test_verify_matches_literal_identity(key_pool, single_params):
+def test_verify_matches_literal_identity(key_pool):
     # the transform-domain check equals the plain product identity
     sk, pk = key_pool[4]
     a = expand_matrix(pk.rho_seed)

@@ -269,7 +269,7 @@ def test_partial_deterministic(key_pool, multi_params):
     assert a == b
 
 
-def test_linearity_bridge(key_pool, multi_params):
+def test_linearity_bridge(key_pool):
     # sum L_i (s0_i H + s1_i) == (sum L_i s0_i) H + sum L_i s1_i == s0 H + s1
     sk, _ = key_pool[5]
     shares = deal_shares(sk, 2, 4, b"\x69" * 32)

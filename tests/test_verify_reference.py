@@ -73,7 +73,7 @@ def make_ring(key_pool, k):
     return Ring(members=tuple(pk for _, pk in key_pool[:k]))
 
 
-def resign(sk, sig, message, ring, proofs, params):
+def resign(sk, sig, message, ring, proofs):
     """A signature whose challenge, tags and core signature all cover proofs.
 
     Only the signer's key can produce this, so it is the one way to reach
@@ -171,11 +171,11 @@ def test_early_stop_matches_full_scan(key_pool, single_params, k):
     # or exactly one valid proof at each position
     junk = [rng.randbytes(single_params.proof_size) for _ in range(k)]
     good = [e.acorn_proof for e in sig.per_member]
-    forged = resign(sk, sig, MSG, ring, junk, single_params)
+    forged = resign(sk, sig, MSG, ring, junk)
     reasons.append(assert_same(forged, MSG, ring, single_params).reason)
     for j in range(k):
         proofs = junk[:j] + [good[j]] + junk[j + 1:]
-        forged = resign(sk, sig, MSG, ring, proofs, single_params)
+        forged = resign(sk, sig, MSG, ring, proofs)
         reasons.append(assert_same(forged, MSG, ring, single_params).reason)
 
     assert {"ok", "structural", "challenge", "acorn", "linkability",
