@@ -1,6 +1,6 @@
 """Where a cold k = 64 `chipmunkring sign` and `verify` process spends its time.
 
-Usage: python3 scripts/cold_cli_phases.py TREE [TREE ...] [-n N] [--json]
+Usage: python3 scripts/cold_cli_phases.py TREE [TREE ...] [-n N]
 
 TREE is a source checkout (its `src/` holds the package). For each tree, the
 tree's own CLI makes 64 keys and a message in a temporary directory; then N
@@ -15,11 +15,10 @@ Each process is split into four phases, in ms:
   import   `from chipmunkring.cli import main` (numpy and the package)
   command  main(argv), the command itself
   exit     main's return to the parent seeing the process gone
-The medians are printed per tree and command, or as JSON with --json.
+The medians are printed per tree and command.
 """
 
 import argparse
-import json
 import os
 import statistics
 import subprocess
@@ -70,7 +69,8 @@ class Tree:
         seeds = [f"{i:064x}" for i in range(1, K + 1)]
         code = ("import sys\nfrom chipmunkring.cli import main\n"
                 "for i, seed in enumerate(sys.argv[1:]):\n"
-                "    assert main(['keygen', '--out', f'k{i:02d}', '--seed', seed]) == 0\n")
+                "    if main(['keygen', '--out', f'k{i:02d}', '--seed', seed]):\n"
+                "        sys.exit(1)\n")
         subprocess.run([sys.executable, "-c", code, *seeds], cwd=self.work,
                        env=self.env, check=True, stdout=subprocess.DEVNULL)
         (self.work / "msg").write_bytes(b"cold cli phase probe message")
@@ -109,8 +109,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trees", nargs="+", type=Path, help="source checkouts")
     parser.add_argument("-n", type=int, default=15, help="rounds (default 15)")
-    parser.add_argument("--json", action="store_true", help="print JSON medians")
     args = parser.parse_args(argv)
+    if args.n < 1:
+        parser.error("-n must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         trees = []
         for i, path in enumerate(args.trees):
@@ -125,9 +126,6 @@ def main(argv=None) -> int:
                 tree.run("sign")
                 tree.run("verify")
         result = {str(t.path): t.medians() for t in trees}
-    if args.json:
-        print(json.dumps({"rounds": args.n, "k": K, "median_ms": result}, indent=1))
-        return 0
     print(f"median ms over {args.n} fresh processes per command, k = {K}")
     print(f"{'tree':<40} {'command':<7}" + "".join(f"{p:>9}" for p in PHASES))
     for path, meds in result.items():
