@@ -1,20 +1,27 @@
-"""ring_verify_report against a full-scan reference verifier.
+"""The verifiers against full-scan reference verifiers.
 
 The library stops the per-member commitment scan at the first valid proof
-and checks the sigma norm once per signature. The reference below is the
-original verifier: it checks every proof, counts the valid ones, and runs
-the complete core verification (norm and identity) under every ring key.
-Both must give the same (ok, reason, detail) on every input.
+and checks the sigma norm once per signature. The single-mode reference
+below is the original verifier: it checks every proof, counts the valid
+ones, and runs the complete core verification (norm and identity) under
+every ring key. The threshold reference runs the core verification under
+every ring key too, then computes every participant proof x = 1..64 for
+every block proof, and rebinds the block to the first matching key with x
+ascending. Each must give the same (ok, reason, detail) as the library on
+every input, also on inputs with two faults, which pins the stage order.
 """
 
 import dataclasses
+import functools
+import hashlib
 import random
+import struct
 
 import pytest
 
 from chipmunkring import acorn, codec, hots, ringsig
 from chipmunkring.errors import CodecError
-from chipmunkring.params import NORM_BOUND, Q
+from chipmunkring.params import DOMAIN_COORDINATION, MAX_PARTICIPANTS, NORM_BOUND, Q
 from chipmunkring.polyring import add
 from chipmunkring.ringsig import (
     MemberEntry,
@@ -23,6 +30,14 @@ from chipmunkring.ringsig import (
     ring_hash,
     ring_sign,
     ring_verify_report,
+)
+from chipmunkring.threshold import (
+    combine,
+    deal_shares,
+    partial_sign,
+    threshold_challenge,
+    threshold_verify_report,
+    verify_signature_report,
 )
 from polyref import monomial
 
@@ -200,3 +215,175 @@ def test_honest_stop_index_independent_of_signer(key_pool, single_params,
         assert ring_verify_report(sig, MSG, ring, single_params).ok
         scans.append(tuple(calls))
     assert scans == [(0,)] * k
+
+
+@functools.cache
+def participant_proof(pk, challenge, x, params):
+    """Participant x's proof on challenge under master key pk, from the
+    Acorn primitives and the coordination seed's definition."""
+    seed = hashlib.shake_256(DOMAIN_COORDINATION + pk.encoded
+                             + struct.pack("<I", x)).digest(32)
+    return acorn.create_proof(pk, challenge, acorn.derive_randomness(seed, x), x, params)
+
+
+def reference_threshold_report(sig, message, ring, params):
+    if sig.required_signers <= 1:
+        return VerifyReport(False, "structural", "required_signers must exceed 1")
+    problem = ringsig.check_structure(sig, ring, params)
+    if problem:
+        return VerifyReport(False, "structural", problem)
+    rhash = ring_hash(ring)
+    pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
+    if ringsig.challenge_digest(message, rhash, pairs) != sig.challenge:
+        return VerifyReport(False, "challenge", "challenge mismatch")
+    t, p = sig.required_signers, params.proof_size
+    block = sig.threshold_zk_proofs
+    if len(block) != t * p:
+        return VerifyReport(False, "threshold_size",
+                            f"threshold block is {len(block)} bytes, expected {t * p}")
+    tag = acorn.linkability_tag(rhash, message, sig.challenge)
+    if any(entry.linkability != tag for entry in sig.per_member):
+        return VerifyReport(False, "linkability", "linkability tag mismatch")
+    matches = [j for j, pk in enumerate(ring.members)
+               if hots.verify(pk, sig.challenge, sig.chipmunk_sig)]
+    if not matches:
+        return VerifyReport(False, "core", "core signature matches no ring key")
+    pk = ring.members[matches[0]]
+    found = [[x for x in range(1, MAX_PARTICIPANTS + 1)
+              if participant_proof(pk, sig.challenge, x, params) == block[i * p:(i + 1) * p]]
+             for i in range(t)]
+    last = 0
+    rebound = True
+    for xs in found:
+        later = [x for x in xs if x > last]
+        if later:
+            last = later[0]
+        else:
+            rebound = False
+    if not rebound:
+        return VerifyReport(False, "threshold_acorn",
+                            "embedded participant proofs do not verify")
+    return VerifyReport(True, "ok")
+
+
+def assert_same_threshold(sig, message, ring, params):
+    """Both the threshold verifier and the dispatcher match the references."""
+    want = reference_threshold_report(sig, message, ring, params)
+    assert threshold_verify_report(sig, message, ring, params) == want
+    single = sig.required_signers == 1
+    dispatched = (reference_verify_report if single else reference_threshold_report)(
+        sig, message, ring, params)
+    assert verify_signature_report(sig, message, ring, params) == dispatched
+    return dispatched.reason
+
+
+def with_entry(sig, i, **changes):
+    entries = list(sig.per_member)
+    entries[i] = dataclasses.replace(entries[i], **changes)
+    return dataclasses.replace(sig, per_member=tuple(entries))
+
+
+def flipped(data, i=0):
+    out = bytearray(data)
+    out[i] ^= 0x01
+    return bytes(out)
+
+
+def threshold_sign(key_pool, ring, t, n, xs, params):
+    shares = deal_shares(key_pool[0][0], t, n, ENTROPY)
+    challenge, _ = threshold_challenge(MSG, ring, params)
+    return combine([partial_sign(shares[x - 1], challenge, params) for x in xs],
+                   MSG, ring, t, params)
+
+
+@pytest.mark.parametrize("t, n, xs", [(2, 4, (2, 4)), (3, 8, (1, 5, 8))])
+def test_threshold_verifier_matches_full_scan(key_pool, multi_params, t, n, xs):
+    ring = make_ring(key_pool, n)
+    sig = threshold_sign(key_pool, ring, t, n, xs, multi_params)
+    p = multi_params.proof_size
+    block = sig.threshold_zk_proofs
+    reasons = [assert_same_threshold(sig, MSG, ring, multi_params)]
+    assert reasons == ["ok"]
+
+    # a truncated and an extended block; required_signers 0, 1 and t + 1
+    for bad in (block[:-1], block + b"\x00" * p):
+        forged = dataclasses.replace(sig, threshold_zk_proofs=bad)
+        reasons.append(assert_same_threshold(forged, MSG, ring, multi_params))
+    for required in (0, 1, t + 1):
+        forged = dataclasses.replace(sig, required_signers=required)
+        reasons.append(assert_same_threshold(forged, MSG, ring, multi_params))
+
+    # a single corrupted byte at the start, middle and end of every field
+    # and of every block proof
+    sig_bytes = codec.encode_signature(sig)
+    end = len(sig_bytes) - t * p
+    fields = signature_fields(n, p) + [(f"block[{i}]", end + i * p, p) for i in range(t)]
+    for name, start, length in fields:
+        for off in sorted({start, start + length // 2, start + length - 1}):
+            blob = bytearray(sig_bytes)
+            blob[off] ^= rng.randrange(1, 256)
+            try:
+                decoded = codec.decode_signature(bytes(blob))
+            except CodecError:
+                continue
+            reasons.append(assert_same_threshold(decoded, MSG, ring, multi_params))
+
+    # the block's proofs swapped, or bound to x values out of order
+    swapped = block[p:2 * p] + block[:p] + block[2 * p:]
+    forged = dataclasses.replace(sig, threshold_zk_proofs=swapped)
+    reasons.append(assert_same_threshold(forged, MSG, ring, multi_params))
+
+    assert {"ok", "structural", "challenge", "threshold_size", "linkability",
+            "core", "threshold_acorn"} <= set(reasons)
+
+
+def test_two_faults_report_the_earlier_stage(key_pool, single_params, multi_params):
+    foreign_sk = key_pool[40][0]
+
+    def foreign_sigma(sig):
+        return hots.sign(foreign_sk, sig.challenge)
+
+    # threshold mode, 2-of-4
+    ring = make_ring(key_pool, 4)
+    sig = threshold_sign(key_pool, ring, 2, 4, (1, 3), multi_params)
+    p = multi_params.proof_size
+    bad_challenge = dataclasses.replace(sig, challenge=flipped(sig.challenge))
+    short = sig.threshold_zk_proofs[:-p]
+    bad_tag = with_entry(sig, 1, linkability=flipped(sig.per_member[1].linkability))
+    cases = [
+        (dataclasses.replace(bad_challenge, threshold_zk_proofs=short), "challenge"),
+        (dataclasses.replace(bad_tag, threshold_zk_proofs=short), "threshold_size"),
+        (dataclasses.replace(bad_tag, chipmunk_sig=foreign_sigma(sig)), "linkability"),
+        (dataclasses.replace(sig, chipmunk_sig=foreign_sigma(sig),
+                             threshold_zk_proofs=flipped(sig.threshold_zk_proofs)),
+         "core"),
+        (dataclasses.replace(bad_challenge, per_member=sig.per_member[:-1]),
+         "structural"),
+        (dataclasses.replace(bad_challenge, chipmunk_sig=foreign_sigma(sig)),
+         "challenge"),
+    ]
+    for forged, reason in cases:
+        assert assert_same_threshold(forged, MSG, ring, multi_params) == reason
+
+    # single mode, k = 4
+    sk = key_pool[2][0]
+    sig = ring_sign(sk, 2, MSG, ring, ENTROPY, single_params)
+    bad_challenge = dataclasses.replace(sig, challenge=flipped(sig.challenge))
+    junk = [rng.randbytes(single_params.proof_size) for _ in range(4)]
+    no_proof = resign(sk, sig, MSG, ring, junk)
+    cases = [
+        (dataclasses.replace(bad_challenge, threshold_zk_proofs=b"\x00" * 64),
+         "structural"),
+        (with_entry(bad_challenge, 0, linkability=flipped(sig.per_member[0].linkability)),
+         "challenge"),
+        (dataclasses.replace(bad_challenge, chipmunk_sig=foreign_sigma(sig)), "challenge"),
+        (with_entry(no_proof, 3, linkability=flipped(no_proof.per_member[3].linkability)),
+         "acorn"),
+        (dataclasses.replace(no_proof, chipmunk_sig=foreign_sigma(no_proof)), "acorn"),
+        (dataclasses.replace(with_entry(sig, 3, linkability=flipped(
+            sig.per_member[3].linkability)), chipmunk_sig=foreign_sigma(sig)),
+         "linkability"),
+    ]
+    for forged, reason in cases:
+        assert assert_same(forged, MSG, ring, single_params).reason == reason
+        assert assert_same_threshold(forged, MSG, ring, single_params) == reason
