@@ -54,6 +54,10 @@ from .ringsig import (
     ring_sign,
     ring_verify,
     ring_verify_report,
+    threshold_verify,
+    threshold_verify_report,
+    verify_signature,
+    verify_signature_report,
 )
 from .threshold import (
     KeyShare,
@@ -63,10 +67,6 @@ from .threshold import (
     lagrange_at_zero,
     partial_sign,
     threshold_challenge,
-    threshold_verify,
-    threshold_verify_report,
-    verify_signature,
-    verify_signature_report,
 )
 
 __version__ = "0.1.0"

@@ -18,17 +18,22 @@ to the signed message, while soundness of the overall signature rests on
 the core signature over the challenge. Verification recomputes the chain
 and compares with hmac.compare_digest, which takes the same time wherever
 the two proofs differ.
+
+Threshold participant x proves on the challenge, with randomness from a
+seed bound to the master key and x (share_proof).
 """
 
 import hashlib
 import hmac
 import struct
+from functools import lru_cache
 
 from .params import (
     DIGEST_SIZE,
     DOMAIN_ACORN_COMMITMENT,
     DOMAIN_ACORN_LINKABILITY,
     DOMAIN_ACORN_RANDOMNESS,
+    DOMAIN_COORDINATION,
     RingParams,
 )
 
@@ -73,6 +78,21 @@ def create_proof(pk, message: bytes, randomness: bytes, participant_index: int,
     for _ in range(params.iterations):
         state = hashlib.shake_256(state).digest(params.proof_size)
     return state
+
+
+def share_randomness_seed(pk, participant_x: int) -> bytes:
+    """Deterministic share-bound seed for a participant's commitment."""
+    data = DOMAIN_COORDINATION + pk.encoded + struct.pack("<I", participant_x)
+    return hashlib.shake_256(data).digest(32)
+
+
+@lru_cache(maxsize=1024)
+def share_proof(pk, challenge: bytes, participant_x: int, params: RingParams) -> bytes:
+    """The commitment proof participant x must carry on a challenge under
+    master key pk."""
+    randomness = derive_randomness(share_randomness_seed(pk, participant_x),
+                                   participant_x)
+    return create_proof(pk, challenge, randomness, participant_x, params)
 
 
 def verify_proof(proof: bytes, pk, message: bytes, randomness: bytes,

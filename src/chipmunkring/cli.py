@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from . import codec, hots, ringsig, threshold
+from . import acorn, codec, hots, ringsig, threshold
 from .errors import ByzantineShareError, ChipmunkRingError, CodecError
 from .params import preset
 from .ringsig import Ring
@@ -110,7 +110,7 @@ def cmd_verify(args) -> int:
     ring = _load_ring(args.ring)
     message = _read(args.message)
     params = _params_for_signature(sig)
-    report = threshold.verify_signature_report(sig, message, ring, params)
+    report = ringsig.verify_signature_report(sig, message, ring, params)
     if report.ok:
         print("accept")
         return EXIT_OK
@@ -233,10 +233,10 @@ def _bench_threshold(t: int, n: int, iterations: int, warmup: int):
         sig = threshold.combine(partials, message, ring, t, params)
         t1 = time.perf_counter()
         # a fresh verifier holds none of the signer-side proof cache
-        threshold.share_proof.cache_clear()
+        acorn.share_proof.cache_clear()
         t2 = time.perf_counter()
         # t = 1 combines into a single-signer signature, so verify as cmd_verify does
-        ok = threshold.verify_signature(sig, message, ring, params)
+        ok = ringsig.verify_signature(sig, message, ring, params)
         t3 = time.perf_counter()
         return (t1 - t0) * 1e3, (t3 - t2) * 1e3, len(codec.encode_signature(sig)), ok
 

@@ -38,7 +38,7 @@ keys only ever sign 32-byte challenge digests.
 """
 
 import hashlib
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -98,10 +98,10 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    seed: bytes
+    seed: bytes = field(repr=False)
     tr: bytes  # SHA3-384 of the encoded public key
-    s0: Polynomial
-    s1: Polynomial
+    s0: Polynomial = field(repr=False)
+    s1: Polynomial = field(repr=False)
     pk: PublicKey
 
 

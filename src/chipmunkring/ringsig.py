@@ -1,16 +1,17 @@
-"""Single-signer ring signatures.
+"""Single-signer ring signatures, and the one verifier of both modes.
 
 Signing builds one commitment per ring member from public data plus
 caller-supplied entropy, hashes everything into a 32-byte challenge, and
-signs the challenge with the signer's core key. Verification recomputes
-the challenge, requires at least one valid per-member commitment, checks
-the linkability tags, and accepts if the core signature verifies under at
-least one ring key. Which key verified is never exposed by the API.
+signs the challenge with the signer's core key. Verification runs one
+sequence of stages for both modes (_verify_report): structure, challenge,
+the mode's own step, linkability tags, and the core signature, which must
+verify under at least one ring key; threshold mode then rebinds its block.
+Which key verified is never exposed by the API.
 
-The commitment check stops at the first valid commitment. This reveals
-nothing about the signer: every commitment is a function of public data
-and the signing seed only (see build_member_entries), so the records are
-byte-identical whoever signs, and an honest signature always stops at
+The single-mode commitment check stops at the first valid commitment. This
+reveals nothing about the signer: every commitment is a function of public
+data and the signing seed only (see build_member_entries), so the records
+are byte-identical whoever signs, and an honest signature always stops at
 member 0. Where the scan stops depends only on the signature bytes and the
 ring, both public. The core check tests the norm bound on sigma once and
 then the key-dependent identity: k root tests, one per member, plus a
@@ -34,9 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hots
-from .acorn import create_proof, derive_randomness, linkability_tag, verify_proof
+from .acorn import (
+    constant_time_eq,
+    create_proof,
+    derive_randomness,
+    linkability_tag,
+    share_proof,
+    verify_proof,
+)
 from .errors import RingSizeError, SignerNotInRingError
-from .params import DIGEST_SIZE, MAX_RING, MIN_RING, RingParams
+from .params import DIGEST_SIZE, MAX_PARTICIPANTS, MAX_RING, MIN_RING, RingParams
 
 
 def check_ring_size(size: int) -> None:
@@ -162,7 +170,7 @@ def ring_sign(sk: hots.PrivateKey, signer_index: int, message: bytes, ring: Ring
 
 
 def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
-    """Shape checks shared by both verification branches; '' when clean."""
+    """Shape checks of both modes; '' when clean."""
     if sig.ring_size != ring.size:
         return f"ring_size {sig.ring_size} != ring of {ring.size}"
     if len(sig.per_member) != sig.ring_size:
@@ -176,12 +184,9 @@ def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
             return f"proof length mismatch at member {i}"
         if len(entry.linkability) != DIGEST_SIZE:
             return f"linkability tag length mismatch at member {i}"
+    if sig.required_signers == 1 and sig.threshold_zk_proofs != b"":
+        return "unexpected threshold block"
     return ""
-
-
-def recompute_challenge(sig: RingSignature, message: bytes, rhash: bytes) -> bytes:
-    pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
-    return challenge_digest(message, rhash, pairs)
 
 
 def check_linkability(sig: RingSignature, message: bytes, rhash: bytes) -> bool:
@@ -207,32 +212,97 @@ def core_matches(sig: RingSignature, ring: Ring):
     return np.flatnonzero(held).tolist()
 
 
+def _verify_report(sig: RingSignature, message: bytes, ring: Ring,
+                   params: RingParams) -> VerifyReport:
+    """The verification stages of both modes, in order, after the mode guard.
+
+    The modes differ in two places. Single mode (t = 1) checks the
+    per-member Acorn proofs before linkability. Threshold mode (t > 1)
+    never checks them: the per-member records are bound only through the
+    challenge, and the t participant proofs of the threshold block stand
+    in for them. So records with no Acorn chain behind them, under a
+    correct challenge, core signature and block, are accepted with t > 1,
+    while the same records with t = 1 are rejected with reason "acorn".
+    Threshold mode checks the block size in that place instead, and
+    rebinds the block after the core check.
+
+    The block is rebound only to the first core-matching ring key, the key
+    combine binds it to, so one verification costs at most MAX_PARTICIPANTS
+    proof chains whatever the ring holds. A ring may list the master key
+    several times, or hold distinct keys built from one secret pair
+    (hots.keypair_from_secrets with another rho_seed), which all match the
+    core signature; a block bound to any matching key but the first is
+    rejected with "threshold_acorn". combine never produces one.
+    """
+    problem = check_structure(sig, ring, params)
+    if problem:
+        return VerifyReport(False, "structural", problem)
+    rhash = ring_hash(ring)
+    pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
+    if challenge_digest(message, rhash, pairs) != sig.challenge:
+        return VerifyReport(False, "challenge", "challenge mismatch")
+    t, p, block = sig.required_signers, params.proof_size, sig.threshold_zk_proofs
+    if t == 1:
+        # any() stops at the first valid proof; see the module docstring
+        if not any(
+            verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params)
+            for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member))
+        ):
+            return VerifyReport(False, "acorn", "no valid per-member proof")
+    elif len(block) != t * p:
+        return VerifyReport(False, "threshold_size",
+                            f"threshold block is {len(block)} bytes, expected {t * p}")
+    if not check_linkability(sig, message, rhash):
+        return VerifyReport(False, "linkability", "linkability tag mismatch")
+    masters = core_matches(sig, ring)
+    if not masters:
+        return VerifyReport(False, "core", "core signature matches no ring key")
+    if t > 1:
+        pk = ring.members[masters[0]]
+        # the proofs, in order, must carry ascending x: one pass over the x values
+        xs = iter(range(1, MAX_PARTICIPANTS + 1))
+        if not all(any(constant_time_eq(block[i * p:(i + 1) * p],
+                                        share_proof(pk, sig.challenge, x, params))
+                       for x in xs) for i in range(t)):
+            return VerifyReport(False, "threshold_acorn",
+                                "embedded participant proofs do not verify")
+    return VerifyReport(True, "ok")
+
+
 def ring_verify_report(sig: RingSignature, message: bytes, ring: Ring,
                        params: RingParams) -> VerifyReport:
     """Verify a single-signer ring signature with a diagnostic reason."""
     if sig.required_signers != 1:
         return VerifyReport(False, "structural", "required_signers != 1")
-    problem = check_structure(sig, ring, params)
-    if not problem and sig.threshold_zk_proofs != b"":
-        problem = "unexpected threshold block"
-    if problem:
-        return VerifyReport(False, "structural", problem)
-    rhash = ring_hash(ring)
-    if recompute_challenge(sig, message, rhash) != sig.challenge:
-        return VerifyReport(False, "challenge", "challenge mismatch")
-    # any() stops at the first valid proof; see the module docstring
-    if not any(
-        verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params)
-        for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member))
-    ):
-        return VerifyReport(False, "acorn", "no valid per-member proof")
-    if not check_linkability(sig, message, rhash):
-        return VerifyReport(False, "linkability", "linkability tag mismatch")
-    if not core_matches(sig, ring):
-        return VerifyReport(False, "core", "core signature matches no ring key")
-    return VerifyReport(True, "ok")
+    return _verify_report(sig, message, ring, params)
 
 
 def ring_verify(sig: RingSignature, message: bytes, ring: Ring,
                 params: RingParams) -> bool:
     return ring_verify_report(sig, message, ring, params).ok
+
+
+def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
+                            params: RingParams) -> VerifyReport:
+    """Verify a threshold (t > 1) ring signature with a diagnostic reason."""
+    if sig.required_signers <= 1:
+        return VerifyReport(False, "structural", "required_signers must exceed 1")
+    return _verify_report(sig, message, ring, params)
+
+
+def threshold_verify(sig: RingSignature, message: bytes, ring: Ring,
+                     params: RingParams) -> bool:
+    return threshold_verify_report(sig, message, ring, params).ok
+
+
+def verify_signature_report(sig: RingSignature, message: bytes, ring: Ring,
+                            params: RingParams) -> VerifyReport:
+    """Dispatch on required_signers: 1 -> single-signer, else threshold."""
+    if sig.required_signers == 1:
+        return ring_verify_report(sig, message, ring, params)
+    return threshold_verify_report(sig, message, ring, params)
+
+
+def verify_signature(sig: RingSignature, message: bytes, ring: Ring,
+                     params: RingParams) -> bool:
+    return verify_signature_report(sig, message, ring, params).ok

@@ -14,24 +14,24 @@ polynomial coefficients.
 Coordination is local: the challenge every participant signs is a
 deterministic function of (message, ring), so no state travels between
 participants beyond message, ring, and their own partial signature. The
-combined signature carries the t participant commitment proofs sorted by
-ascending x in its threshold block; verifiers rebind them by scanning x
-candidates in ascending order against the first core-matching ring key.
+combined signature carries the t participant commitment proofs
+(acorn.share_proof) sorted by ascending x in its threshold block. This
+module only deals, signs partially and combines; ringsig verifies both
+modes.
 """
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import hots
-from .acorn import constant_time_eq, create_proof, derive_randomness
+from .acorn import constant_time_eq, share_proof
 from .errors import ByzantineShareError, ThresholdError
 from .params import (
     DIGEST_SIZE,
-    DOMAIN_COORDINATION,
     DOMAIN_SIGNATURE_ZK,
     MAX_PARTICIPANTS,
     N,
@@ -40,17 +40,12 @@ from .params import (
     ZK_DOMAIN_SECRET_SHARING,
 )
 from .polyring import Polynomial, add, hash_to_poly, mul, uniform_rows
-from .ringsig import (
-    Ring,
-    RingSignature,
-    VerifyReport,
-    build_member_entries,
-    check_linkability,
-    check_structure,
-    core_matches,
-    recompute_challenge,
-    ring_hash,
-    ring_verify_report,
+from .ringsig import Ring, RingSignature, build_member_entries, core_matches, ring_hash
+from .ringsig import (  # the verifiers live in ringsig and stay importable here
+    threshold_verify,
+    threshold_verify_report,
+    verify_signature,
+    verify_signature_report,
 )
 
 
@@ -59,8 +54,8 @@ class KeyShare:
     """One participant's evaluation of every sharing polynomial."""
 
     participant_x: int
-    s0_share: Polynomial
-    s1_share: Polynomial
+    s0_share: Polynomial = field(repr=False)
+    s1_share: Polynomial = field(repr=False)
     pk: hots.PublicKey  # master public key
     n_participants: int
     threshold_t: int
@@ -173,26 +168,6 @@ def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
     )
 
 
-def share_randomness_seed(pk: hots.PublicKey, participant_x: int) -> bytes:
-    """Deterministic share-bound seed for a participant's commitment."""
-    data = (
-        DOMAIN_COORDINATION
-        + pk.encoded
-        + struct.pack("<I", participant_x)
-    )
-    return hashlib.shake_256(data).digest(32)
-
-
-@lru_cache(maxsize=1024)
-def share_proof(pk: hots.PublicKey, challenge: bytes, participant_x: int,
-                params: RingParams) -> bytes:
-    """The commitment proof participant x must carry on a challenge under
-    master key pk."""
-    randomness = derive_randomness(share_randomness_seed(pk, participant_x),
-                                   participant_x)
-    return create_proof(pk, challenge, randomness, participant_x, params)
-
-
 @lru_cache(maxsize=64)
 def threshold_challenge(message: bytes, ring: Ring, params: RingParams):
     """Challenge and per-member records every participant agrees on.
@@ -262,72 +237,3 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     if t == 1:
         return sig
     return replace(sig, threshold_zk_proofs=b"".join(p.acorn_proof for p in parts))
-
-
-def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
-                            params: RingParams) -> VerifyReport:
-    """Verify a threshold (t > 1) ring signature with a diagnostic reason.
-
-    Unlike ring_verify_report, this never checks the per-member Acorn
-    proofs: the per-member records are bound only through the challenge,
-    and the t participant proofs of the threshold block stand in for them.
-    So records with no Acorn chain behind them, under a correct challenge,
-    core signature and block, are accepted here, while the same records
-    with required_signers = 1 are rejected with reason "acorn".
-
-    The block is rebound only to the first core-matching ring key, the key
-    combine binds it to, so one verification costs at most MAX_PARTICIPANTS
-    proof chains whatever the ring holds. A ring may list the master key
-    several times, or hold distinct keys built from one secret pair
-    (hots.keypair_from_secrets with another rho_seed), which all match the
-    core signature; a block bound to any matching key but the first is
-    rejected with "threshold_acorn". combine never produces one.
-    """
-    if sig.required_signers <= 1:
-        return VerifyReport(False, "structural", "required_signers must exceed 1")
-    problem = check_structure(sig, ring, params)
-    if problem:
-        return VerifyReport(False, "structural", problem)
-    rhash = ring_hash(ring)
-    if recompute_challenge(sig, message, rhash) != sig.challenge:
-        return VerifyReport(False, "challenge", "challenge mismatch")
-    t = sig.required_signers
-    if len(sig.threshold_zk_proofs) != t * params.proof_size:
-        return VerifyReport(
-            False, "threshold_size",
-            f"threshold block is {len(sig.threshold_zk_proofs)} bytes, "
-            f"expected {t * params.proof_size}",
-        )
-    if not check_linkability(sig, message, rhash):
-        return VerifyReport(False, "linkability", "linkability tag mismatch")
-    masters = core_matches(sig, ring)
-    if not masters:
-        return VerifyReport(False, "core", "core signature matches no ring key")
-    p = params.proof_size
-    proofs = [sig.threshold_zk_proofs[i * p:(i + 1) * p] for i in range(t)]
-    pk = ring.members[masters[0]]
-    # the proofs, in order, must carry ascending x: one pass over the x values
-    xs = iter(range(1, MAX_PARTICIPANTS + 1))
-    if not all(any(constant_time_eq(proof, share_proof(pk, sig.challenge, x, params))
-                   for x in xs) for proof in proofs):
-        return VerifyReport(False, "threshold_acorn",
-                            "embedded participant proofs do not verify")
-    return VerifyReport(True, "ok")
-
-
-def threshold_verify(sig: RingSignature, message: bytes, ring: Ring,
-                     params: RingParams) -> bool:
-    return threshold_verify_report(sig, message, ring, params).ok
-
-
-def verify_signature_report(sig: RingSignature, message: bytes, ring: Ring,
-                            params: RingParams) -> VerifyReport:
-    """Dispatch on required_signers: 1 -> single-signer, else threshold."""
-    if sig.required_signers == 1:
-        return ring_verify_report(sig, message, ring, params)
-    return threshold_verify_report(sig, message, ring, params)
-
-
-def verify_signature(sig: RingSignature, message: bytes, ring: Ring,
-                     params: RingParams) -> bool:
-    return verify_signature_report(sig, message, ring, params).ok

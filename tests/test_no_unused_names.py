@@ -7,8 +7,9 @@ names it, since the traced benchmark looks those up. Its own definition,
 and a tag's entry in ALL_DOMAIN_TAGS, are not uses. A helper that only
 tests need belongs under tests/.
 
-Every parameter of every function is read, so an argument a function
-ignores cannot linger in its signature.
+Every parameter of every function, in the package and under tests/, is
+read, so an argument a function ignores cannot linger in its signature.
+The exceptions are fixtures a test requests for their side effects.
 
 No module imports or reaches into another's private name: a decision two
 modules share belongs behind one public name.
@@ -21,11 +22,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chipmunkring"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 TAG_PREFIXES = ("DOMAIN_", "ZK_DOMAIN_")
 
 
-def modules():
-    for path in sorted(PACKAGE.glob("*.py")):
+def modules(directory=PACKAGE):
+    for path in sorted(directory.glob("*.py")):
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
@@ -88,7 +90,7 @@ def test_no_private_name_crosses_modules():
 
 def test_every_parameter_is_read():
     unread = []
-    for module, tree in modules():
+    for module, tree in [*modules(), *modules(TESTS)]:
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -99,8 +101,16 @@ def test_every_parameter_is_read():
                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{module}.{node.name}({a.arg})" for a in params
                        if a.arg not in loaded]
-    # perfbench passes params to keygen; it goes with the next benchmark change
-    assert unread == ["hots.keygen(params)"]
+    # perfbench passes params to keygen; it goes with the next benchmark change.
+    # The test fixtures are requested for their side effects.
+    assert unread == [
+        "hots.keygen(params)",
+        "test_cli.test_secret_files_are_owner_only(umask_022)",
+        "test_cli.test_main_freezes_the_heap_it_starts_with(unfreeze_after)",
+        "test_cli.test_bench_never_signs_two_challenges_with_one_key(capsys)",
+        "test_public_key.test_mode_2_header_is_its_own_entry_for_the_same_key(empty_memo)",
+        "test_public_key.test_embedded_keys_go_through_the_memo(empty_memo)",
+    ]
 
 
 def test_no_private_attribute_crosses_modules():

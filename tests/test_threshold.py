@@ -1,12 +1,14 @@
 import dataclasses
+import pickle
 import random
+import re
 import struct
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from chipmunkring import hots, polyring, ringsig, threshold
+from chipmunkring import acorn, codec, hots, polyring, ringsig, threshold
 from chipmunkring.acorn import linkability_tag
 from chipmunkring.errors import ByzantineShareError, ThresholdError
 from chipmunkring.params import N, Q, ZK_DOMAIN_SECRET_SHARING
@@ -249,8 +251,8 @@ def test_reconstruction_from_all_pairs(key_pool):
 def test_share_randomness_seed_is_share_bound(key_pool):
     _, pk0 = key_pool[0]
     _, pk1 = key_pool[1]
-    assert threshold.share_randomness_seed(pk0, 1) != threshold.share_randomness_seed(pk0, 2)
-    assert threshold.share_randomness_seed(pk0, 1) != threshold.share_randomness_seed(pk1, 1)
+    assert acorn.share_randomness_seed(pk0, 1) != acorn.share_randomness_seed(pk0, 2)
+    assert acorn.share_randomness_seed(pk0, 1) != acorn.share_randomness_seed(pk1, 1)
 
 
 def test_partial_t1_equals_master_signature(key_pool, multi_params):
@@ -380,7 +382,7 @@ def test_combine_rejects_bad_partial_lists_before_any_chain(key_pool, multi_para
     challenge, _ = threshold_challenge(MSG, ring, multi_params)
     p1, p2, p3 = (partial_sign(s, challenge, multi_params) for s in shares[:3])
     chains = []
-    for module in (threshold, ringsig):
+    for module in (acorn, ringsig):
         monkeypatch.setattr(module, "create_proof",
                             lambda *a, f=module.create_proof: chains.append(a) or f(*a))
     # a message never signed: reaching its challenge would run chains
@@ -492,13 +494,13 @@ def test_rebinding_scan_is_bounded_with_duplicate_master_keys(key_pool, multi_pa
     assert core_matches(sig, ring) == [0, 2, 4]
 
     points = []
-    real = threshold.create_proof
+    real = acorn.create_proof
 
     def counted(pk, message, randomness, x, params):
         points.append(x)
         return real(pk, message, randomness, x, params)
 
-    monkeypatch.setattr(threshold, "create_proof", counted)
+    monkeypatch.setattr(acorn, "create_proof", counted)
     threshold.share_proof.cache_clear()
     assert threshold_verify_report(sig, MSG, ring, multi_params).ok
     assert points == [1, 2, 3, 4]
@@ -540,13 +542,13 @@ def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeyp
     assert threshold_verify_report(second, MSG, ring, multi_params).reason == "threshold_acorn"
 
     points = []
-    real = threshold.create_proof
+    real = acorn.create_proof
 
     def counted(pk, message, randomness, x, params):
         points.append(x)
         return real(pk, message, randomness, x, params)
 
-    monkeypatch.setattr(threshold, "create_proof", counted)
+    monkeypatch.setattr(acorn, "create_proof", counted)
     flipped = bytearray(sig.threshold_zk_proofs)
     flipped[0] ^= 0x01
     forged = dataclasses.replace(sig, threshold_zk_proofs=bytes(flipped))
@@ -556,3 +558,22 @@ def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeyp
     # one scan against one key, not one per clone
     assert len(points) <= threshold.MAX_PARTICIPANTS
     threshold.share_proof.cache_clear()
+
+
+def test_secret_fields_stay_out_of_repr(key_pool):
+    sk = key_pool[9][0]
+    share = deal_shares(sk, 2, 3, b"\x76" * 32)[1]
+    for obj, secrets, encode, decode in (
+        (sk, ("seed", "s0", "s1"), codec.encode_private_key, codec.decode_private_key),
+        (share, ("s0_share", "s1_share"), codec.encode_share, codec.decode_share),
+    ):
+        text = repr(obj)
+        for name in secrets:
+            assert not re.search(rf"\b{name}=", text)  # rho_seed= is public
+            assert repr(getattr(obj, name)) not in text
+        assert "pk=PublicKey(" in text
+        blob = encode(obj)
+        for copy in (pickle.loads(pickle.dumps(obj)), decode(blob)):
+            assert copy == obj
+            assert encode(copy) == blob
+    assert repr(sk.seed) not in repr(sk) and sk.seed.hex() not in repr(sk)
