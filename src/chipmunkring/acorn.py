@@ -34,6 +34,7 @@ from .params import (
     DOMAIN_ACORN_LINKABILITY,
     DOMAIN_ACORN_RANDOMNESS,
     DOMAIN_COORDINATION,
+    MAX_PARTICIPANTS,
     RingParams,
 )
 
@@ -86,10 +87,10 @@ def share_randomness_seed(pk, participant_x: int) -> bytes:
     return hashlib.shake_256(data).digest(32)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=MAX_PARTICIPANTS)
 def share_proof(pk, challenge: bytes, participant_x: int, params: RingParams) -> bytes:
     """The commitment proof participant x must carry on a challenge under
-    master key pk."""
+    master key pk; the cache holds one session's MAX_PARTICIPANTS proofs."""
     randomness = derive_randomness(share_randomness_seed(pk, participant_x),
                                    participant_x)
     return create_proof(pk, challenge, randomness, participant_x, params)

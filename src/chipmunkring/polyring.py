@@ -318,7 +318,7 @@ def hash_to_poly(message: bytes) -> Polynomial:
     sign. Attempts landing on an occupied index are rejected.
 
     Not memoized: a call costs 60-90 us, and a sign or a verify hashes its
-    challenge once (README, "Caches").
+    challenge once.
     """
     if len(message) == 0:
         raise ValueError("message must be nonempty")

@@ -168,12 +168,13 @@ def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
     )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def threshold_challenge(message: bytes, ring: Ring, params: RingParams):
     """Challenge and per-member records every participant agrees on.
 
     Derived entirely from (message, ring), so participants need no shared
-    state beyond those two values.
+    state beyond those two values. The cache keeps the one session in
+    progress, for combine; an older message is not kept alive.
     """
     rhash = ring_hash(ring)
     seed = hashlib.shake_256(

@@ -1,6 +1,7 @@
 import pytest
 
-from chipmunkring import hots, preset
+from chipmunkring import hots
+from chipmunkring.params import preset
 
 
 @pytest.fixture(scope="session")

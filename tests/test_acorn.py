@@ -74,6 +74,23 @@ def test_derive_randomness_bad_seed():
         derive_randomness(b"\x14" * 31, 0)
 
 
+def test_derive_randomness_negative_index():
+    with pytest.raises(ValueError, match="participant index must be nonnegative"):
+        derive_randomness(b"\x14" * 32, -1)
+
+
+@pytest.mark.parametrize("message, randomness, error", [
+    (b"", b"\x00" * 32, "message must be nonempty"),
+    (b"m", b"\x00" * 31, "randomness must be 32 bytes"),
+    (b"m", b"\x00" * 33, "randomness must be 32 bytes"),
+])
+def test_create_proof_rejects_bad_inputs(key_pool, single_params, message, randomness,
+                                         error):
+    _, pk = key_pool[3]
+    with pytest.raises(ValueError, match=error):
+        create_proof(pk, message, randomness, 0, single_params)
+
+
 def test_verify_proof_roundtrip(key_pool, single_params):
     _, pk = key_pool[4]
     r = derive_randomness(b"\x15" * 32, 2)

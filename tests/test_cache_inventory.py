@@ -4,10 +4,12 @@ A cache holds strong references to its arguments and results for the life
 of the process, so each one has to earn its place. This test walks the
 package source and requires the decorated functions to be exactly the
 bullets of the README's "Caches" section: adding or removing a cache means
-adding or removing its line there.
+adding or removing its line there. Each bullet's first number is the
+cache's bound, and must be its maxsize.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -32,14 +34,28 @@ def cached_functions():
 
 
 def readme_caches():
+    """{module.function: the bound the bullet states}"""
     text = (ROOT / "README.md").read_text()
     section = text.split("\n### Caches\n", 1)[1].split("\n#", 1)[0]
-    return set(re.findall(r"^- `(\w+\.\w+)`", section, flags=re.MULTILINE))
+    return {name: int(bound) for name, bound in
+            re.findall(r"^- `(\w+\.\w+)` \((\d+) ", section, flags=re.MULTILINE)}
 
 
 def test_every_cache_is_listed_in_the_readme():
-    assert cached_functions() == readme_caches()
+    assert cached_functions() == set(readme_caches())
     assert {name.split(".")[1] for name in cached_functions()} == {
         "ntt_cached", "_decode_public_key", "share_proof",
         "threshold_challenge",
     }
+
+
+def test_readme_states_each_cache_bound():
+    stated = readme_caches()
+    actual = {}
+    for name in stated:
+        module, function = name.split(".")
+        cached = getattr(importlib.import_module(f"chipmunkring.{module}"), function)
+        actual[name] = cached.cache_info().maxsize
+    assert stated == actual
+    assert stated == {"codec._decode_public_key": 256, "acorn.share_proof": 64,
+                      "threshold.threshold_challenge": 1, "polyring.ntt_cached": 4096}

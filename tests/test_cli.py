@@ -98,6 +98,8 @@ def test_share_never_overwrites(tmp_path, capsys, existing):
 
 def test_keygen_bad_seed(tmp_path):
     assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", "zz"]) == 2
+    assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", "00" * 31]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sign_verify_roundtrip(workspace, capsys):
@@ -320,6 +322,7 @@ def test_bench_iterations_floor():
      "ring size 1 outside [2, 64]"),
     (["--modes", "threshold", "--threshold-configs", "0/4"],
      "need 1 <= t <= n <= 64, got t=0, n=4"),
+    (["--modes", "single,bogus"], "unknown mode 'bogus'"),
 ])
 def test_bench_checks_every_size_before_any_keygen(monkeypatch, capsys, argv, message):
     calls = []

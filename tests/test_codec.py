@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -7,6 +8,8 @@ import pytest
 from chipmunkring import threshold
 from chipmunkring.codec import (
     HEADER_BYTES,
+    MODE_MULTI,
+    MODE_SINGLE,
     POLYNOMIAL_BYTES,
     decode_partial,
     decode_polynomial,
@@ -20,6 +23,7 @@ from chipmunkring.codec import (
     encode_public_key,
     encode_share,
     encode_signature,
+    signature_mode,
 )
 from chipmunkring.errors import (
     BadKindError,
@@ -379,3 +383,21 @@ def test_roundtrip_bijectivity_1000_per_kind():
             acorn_proof=rng.randbytes(96),
         )
         assert decode_partial(encode_partial(partial)) == partial
+
+
+def test_signature_mode_follows_proof_length():
+    assert signature_mode(synthetic_signature(2)) == MODE_SINGLE
+    assert signature_mode(synthetic_signature(2, t=2, proof_size=96)) == MODE_MULTI
+    with pytest.raises(FieldError, match="proof length 80 matches no params mode"):
+        signature_mode(synthetic_signature(2, proof_size=80))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"ring_size": 3}, "per-member record count does not match ring_size"),
+    ({"threshold_zk_proofs": b"\x00" * 64},
+     "single-signer signature carries a threshold block"),
+])
+def test_encode_signature_rejects_inconsistent_fields(change, message):
+    sig = dataclasses.replace(synthetic_signature(4), **change)
+    with pytest.raises(FieldError, match=message):
+        encode_signature(sig)

@@ -30,6 +30,12 @@ def test_keygen_entropy_length(single_params):
         keygen(b"\x42" * 31, single_params)
 
 
+def test_keypair_from_secrets_rho_seed_length():
+    s = sample_secret(b"\x43" * 32, b"s0")
+    with pytest.raises(ValueError, match="rho_seed must be 32 bytes"):
+        keypair_from_secrets(b"\x43" * 31, s, s)
+
+
 def test_keygen_unsupported_params():
     # the ring is fixed: another (n, q) cannot even be expressed
     with pytest.raises(TypeError):

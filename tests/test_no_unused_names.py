@@ -1,11 +1,12 @@
 """Every top-level function and class of the package, and every domain tag,
 has a use.
 
-A name is used when some module under src/chipmunkring refers to it (an
-import in __init__ counts), or when perfbench/tracing.py's TARGETS table
-names it, since the traced benchmark looks those up. Its own definition,
-and a tag's entry in ALL_DOMAIN_TAGS, are not uses. A helper that only
-tests need belongs under tests/.
+A name is used when some module under src/chipmunkring refers to it, or
+when perfbench/tracing.py's TARGETS table names it, since the traced
+benchmark looks those up. The package root imports only modules, so it
+uses no name (tests/test_package_root.py keeps it that way). Its own
+definition, and a tag's entry in ALL_DOMAIN_TAGS, are not uses. A helper
+that only tests need belongs under tests/.
 
 Every parameter of every function, in the package and under tests/, is
 read, so an argument a function ignores cannot linger in its signature.

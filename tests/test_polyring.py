@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from chipmunkring import polyring
-from chipmunkring.params import DOMAIN_MATRIX, N, Q
+from chipmunkring.params import CHALLENGE_WEIGHT, DOMAIN_HASH_TO_POLY, DOMAIN_MATRIX, N, Q
 from chipmunkring.polyring import (
     Polynomial,
     add,
@@ -272,6 +273,16 @@ def test_expand_matrix_seed_sensitivity():
     assert a != b
 
 
+@pytest.mark.parametrize("sample, error", [
+    (expand_matrix, "matrix seed must be 32 bytes"),
+    (lambda seed: sample_secret(seed, b"s0"), "secret seed must be 32 bytes"),
+], ids=["expand_matrix", "sample_secret"])
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_seeds_must_be_32_bytes(sample, error, length):
+    with pytest.raises(ValueError, match=error):
+        sample(b"\x33" * length)
+
+
 def test_expand_matrix_range():
     a = expand_matrix(b"\x33" * 32)
     assert all(0 <= c < Q for c in a.coeffs)
@@ -377,3 +388,31 @@ def test_expand_matrix_doubling_matches_reference(monkeypatch):
     got = expand_matrix(seed).coeffs
     assert max(lengths) > 4 * N + 256
     assert np.array_equal(got, reference_expand_matrix(seed))
+
+
+def test_hash_to_poly_doubling_matches_stream(monkeypatch):
+    # 128 attempts at index 5 place one term in the first 384-byte read, so
+    # the stream must be read again at twice the length
+    stream = b"\x05\x00\x00" * 128 + hashlib.shake_256(b"tail").digest(1024)
+    lengths = []
+
+    def crafted_xof(data, length):
+        assert data == DOMAIN_HASH_TO_POLY + b"doubling"
+        lengths.append(length)
+        return stream[:length]
+
+    monkeypatch.setattr(polyring, "_xof", crafted_xof)
+    got = hash_to_poly(b"doubling").coeffs
+    assert lengths == [384, 768]
+    # the placement rule, read straight off the stream
+    want = [0] * N
+    placed = 0
+    for pos in range(0, len(stream) - 2, 3):
+        idx = int.from_bytes(stream[pos:pos + 2], "little") % N
+        if want[idx] == 0:
+            want[idx] = Q - 1 if stream[pos + 2] & 1 else 1
+            placed += 1
+            if placed == CHALLENGE_WEIGHT:
+                break
+    assert placed == CHALLENGE_WEIGHT
+    assert np.array_equal(got, want)

@@ -94,6 +94,13 @@ def test_sign_requires_nonempty_message(key_pool, single_params):
         ring_sign(key_pool[0][0], 0, b"", ring, ENTROPY, single_params)
 
 
+@pytest.mark.parametrize("entropy", [b"", ENTROPY[:31], ENTROPY + b"\x00"])
+def test_sign_requires_32_bytes_of_entropy(key_pool, single_params, entropy):
+    ring = make_ring(key_pool, 2)
+    with pytest.raises(ValueError, match="entropy must be 32 bytes"):
+        ring_sign(key_pool[0][0], 0, MSG, ring, entropy, single_params)
+
+
 def test_verify_rejects_message_flip(key_pool, single_params):
     ring = make_ring(key_pool, 4)
     sig = ring_sign(key_pool[0][0], 0, MSG, ring, ENTROPY, single_params)
@@ -255,3 +262,23 @@ def test_hostile_verify_is_bounded_by_ring_size(key_pool, single_params, monkeyp
     report = ring_verify_report(hostile, MSG, ring, single_params)
     assert report == ringsig.VerifyReport(False, "acorn", "no valid per-member proof")
     assert 0 < len(chains) <= k
+
+
+@pytest.mark.parametrize("field, detail", [
+    ("challenge", "challenge length mismatch"),
+    ("randomness", "randomness length mismatch at member 2"),
+    ("acorn_proof", "proof length mismatch at member 2"),
+    ("linkability", "linkability tag length mismatch at member 2"),
+])
+def test_structure_names_the_short_field(key_pool, single_params, field, detail):
+    ring = make_ring(key_pool, 4)
+    sig = ring_sign(key_pool[0][0], 0, MSG, ring, ENTROPY, single_params)
+    if field == "challenge":
+        bad = dataclasses.replace(sig, challenge=sig.challenge[:-1])
+    else:
+        entries = list(sig.per_member)
+        short = getattr(entries[2], field)[:-1]
+        entries[2] = dataclasses.replace(entries[2], **{field: short})
+        bad = dataclasses.replace(sig, per_member=tuple(entries))
+    report = ring_verify_report(bad, MSG, ring, single_params)
+    assert report == ringsig.VerifyReport(False, "structural", detail)

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import pickle
 import random
 import re
 import struct
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -225,6 +227,12 @@ def test_deal_rejects_bad_config(key_pool):
         deal_shares(sk, 2, 65, b"\x62" * 32)
 
 
+@pytest.mark.parametrize("entropy", [b"", b"\x62" * 31, b"\x62" * 33])
+def test_deal_requires_32_bytes_of_entropy(key_pool, entropy):
+    with pytest.raises(ValueError, match="entropy must be 32 bytes"):
+        deal_shares(key_pool[0][0], 2, 3, entropy)
+
+
 def test_deal_deterministic(key_pool):
     sk, _ = key_pool[1]
     a = deal_shares(sk, 2, 3, b"\x63" * 32)
@@ -269,6 +277,13 @@ def test_partial_deterministic(key_pool, multi_params):
     a = partial_sign(share, b"\x68" * 32, multi_params)
     b = partial_sign(share, b"\x68" * 32, multi_params)
     assert a == b
+
+
+@pytest.mark.parametrize("length", [0, 31, 33])
+def test_partial_sign_requires_a_32_byte_challenge(key_pool, multi_params, length):
+    share = deal_shares(key_pool[4][0], 2, 3, b"\x67" * 32)[1]
+    with pytest.raises(ValueError, match="challenge must be 32 bytes"):
+        partial_sign(share, b"\x68" * length, multi_params)
 
 
 def test_linearity_bridge(key_pool):
@@ -558,6 +573,40 @@ def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeyp
     # one scan against one key, not one per clone
     assert len(points) <= threshold.MAX_PARTICIPANTS
     threshold.share_proof.cache_clear()
+
+
+def test_one_session_reuses_both_threshold_caches(key_pool, multi_params):
+    # challenge, 16 partial signatures and combine at 16-of-32, in one process
+    ring = make_ring(key_pool, 32)
+    shares = deal_shares(key_pool[3][0], 16, 32, b"\x77" * 32)
+    message = b"one signing session"
+    caches = (threshold_challenge, acorn.share_proof)
+    before = [cache.cache_info().hits for cache in caches]
+    challenge, _ = threshold_challenge(message, ring, multi_params)
+    partials = [partial_sign(share, challenge, multi_params) for share in shares[::2]]
+    combine(partials, message, ring, 16, multi_params)
+    hits = [cache.cache_info().hits - b for cache, b in zip(caches, before)]
+    # combine reuses the challenge and each of the 16 partials' proofs
+    assert hits == [1, 16]
+
+
+def test_threshold_challenge_keeps_one_message(key_pool, multi_params):
+    mb = 1 << 20
+    ring = make_ring(key_pool, 2)
+    threshold_challenge.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for i in range(16):
+            threshold_challenge(bytes([i]) * mb, ring, multi_params)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+        threshold_challenge.cache_clear()
+    # the last message only; a cache of every session would hold 16 MB
+    assert retained < 1.5 * mb
 
 
 def test_secret_fields_stay_out_of_repr(key_pool):
