@@ -13,15 +13,18 @@ Object layouts (after the header):
 
     pk       rho_seed(32) | v0(1408) | v1(1408)
     sk       seed(32) | tr(48) | s0(1408) | s1(1408) | encoded pk
-    ringsig  u16 ring_size | u16 required_signers | challenge(32)
+    ringsig  u16 ring size | u16 required_signers | challenge(32)
              | per member: randomness(32) | proof(p) | linkability(32)
              | sigma(1408) | u32 threshold block length | block
     share    u16 participant_x | u16 threshold_t | u16 n_participants
              | s0_share(1408) | s1_share(1408) | encoded master pk
     partial  u16 participant_x | u16 proof length | sigma_share(1408) | proof
 
-Unknown version or kind is rejected, never skipped. decode(encode(x)) == x
-for every object kind.
+tr is SHA3-384 of the encoded pk, and the ring size is the number of
+member records. Unknown version or kind is rejected, never skipped.
+decode(encode(x)) == x for every object kind, and every encoder raises
+FieldError where its decoder would refuse the bytes: a count or a field
+length out of range.
 
 A public key carries its canonical bytes: keygen and the key constructor
 compute them once, decode_public_key keeps the bytes it read (with the
@@ -37,7 +40,6 @@ the first core check has computed them. Keys embedded in private keys and
 shares are decoded through the same cache.
 """
 
-import hashlib
 import struct
 from functools import lru_cache
 
@@ -226,6 +228,8 @@ def _decode_public_key(data: bytes):
 
 
 def encode_private_key(sk) -> bytes:
+    if len(sk.seed) != 32:
+        raise FieldError(f"seed must be 32 bytes, got {len(sk.seed)}")
     return (
         pack_header(KIND_PRIVATE_KEY, MODE_SINGLE)
         + sk.seed
@@ -246,39 +250,52 @@ def decode_private_key(data: bytes):
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     pk = decode_public_key(r.take(len(r.data) - r.pos))
-    if tr != hashlib.sha3_384(encode_public_key(pk)).digest():
+    sk = PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk)
+    if tr != sk.tr:
         raise FieldError("tr digest does not match the embedded public key")
-    return PrivateKey(seed=seed, tr=tr, s0=s0, s1=s1, pk=pk)
+    return sk
 
 
 def signature_mode(sig) -> int:
     """Infer the params mode from the per-member proof length."""
-    plen = len(sig.per_member[0].acorn_proof) if sig.per_member else 64
+    plen = len(sig.per_member[0].acorn_proof)
     for mode, size in _PROOF_SIZES.items():
         if size == plen:
             return mode
     raise FieldError(f"proof length {plen} matches no params mode")
 
 
+def _check_signature_counts(ring_size: int, required: int) -> None:
+    if not MIN_RING <= ring_size <= MAX_RING:
+        raise FieldError(f"ring_size {ring_size} out of range [{MIN_RING}, {MAX_RING}]")
+    if not 1 <= required <= MAX_PARTICIPANTS:
+        raise FieldError(
+            f"required_signers {required} out of range [1, {MAX_PARTICIPANTS}]")
+
+
 def encode_signature(sig) -> bytes:
-    if len(sig.per_member) != sig.ring_size:
-        raise FieldError("per-member record count does not match ring_size")
+    t = sig.required_signers
+    _check_signature_counts(len(sig.per_member), t)
     mode = signature_mode(sig)
     p = _PROOF_SIZES[mode]
-    t = sig.required_signers
     block = sig.threshold_zk_proofs
     if t == 1 and block != b"":
         raise FieldError("single-signer signature carries a threshold block")
     if t > 1 and len(block) != t * p:
         raise FieldError(f"threshold block must be {t * p} bytes, got {len(block)}")
+    if len(sig.challenge) != 32:
+        raise FieldError(f"challenge must be 32 bytes, got {len(sig.challenge)}")
     out = bytearray()
     out += pack_header(KIND_RING_SIGNATURE, mode)
-    out += struct.pack("<HH", sig.ring_size, sig.required_signers)
+    out += struct.pack("<HH", len(sig.per_member), t)
     out += sig.challenge
     for entry in sig.per_member:
-        out += entry.randomness
-        out += entry.acorn_proof
-        out += entry.linkability
+        rand, proof, tag = entry.randomness, entry.acorn_proof, entry.linkability
+        if len(rand) != 32 or len(proof) != p or len(tag) != 32:
+            raise FieldError(f"member record fields must be 32, {p} and 32 bytes")
+        out += rand
+        out += proof
+        out += tag
     out += encode_polynomial(sig.chipmunk_sig.sigma)
     out += struct.pack("<I", len(block))
     out += block
@@ -292,22 +309,12 @@ def decode_signature(data: bytes):
     r = _Reader(data)
     mode = _read_header(r, KIND_RING_SIGNATURE)
     p = _PROOF_SIZES[mode]
-    ring_size = r.u16()
-    required = r.u16()
-    if not MIN_RING <= ring_size <= MAX_RING:
-        raise FieldError(f"ring_size {ring_size} out of range [{MIN_RING}, {MAX_RING}]")
-    if not 1 <= required <= MAX_PARTICIPANTS:
-        raise FieldError(
-            f"required_signers {required} out of range [1, {MAX_PARTICIPANTS}]")
+    ring_size, required = struct.unpack("<HH", r.take(4))
+    _check_signature_counts(ring_size, required)
     challenge = r.take(32)
-    entries = []
-    for _ in range(ring_size):
-        randomness = r.take(32)
-        proof = r.take(p)
-        linkability = r.take(32)
-        entries.append(
-            MemberEntry(randomness=randomness, acorn_proof=proof, linkability=linkability)
-        )
+    # arguments are evaluated left to right: randomness, proof, linkability
+    entries = tuple(MemberEntry(r.take(32), r.take(p), r.take(32))
+                    for _ in range(ring_size))
     sigma = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     block_len = r.u32()
     expected = 0 if required == 1 else required * p
@@ -316,16 +323,23 @@ def decode_signature(data: bytes):
     block = r.take(block_len)
     r.expect_end()
     return RingSignature(
-        ring_size=ring_size,
         required_signers=required,
         challenge=challenge,
-        per_member=tuple(entries),
+        per_member=entries,
         chipmunk_sig=ChipmunkSignature(sigma=sigma),
         threshold_zk_proofs=block,
     )
 
 
+def _check_share_config(x: int, t: int, n_participants: int) -> None:
+    if not 1 <= t <= n_participants <= MAX_PARTICIPANTS:
+        raise FieldError(f"invalid threshold configuration t={t}, n={n_participants}")
+    if not 1 <= x <= n_participants:
+        raise FieldError(f"participant_x {x} out of range [1, {n_participants}]")
+
+
 def encode_share(share) -> bytes:
+    _check_share_config(share.participant_x, share.threshold_t, share.n_participants)
     return (
         pack_header(KIND_KEY_SHARE, MODE_MULTI)
         + struct.pack("<HHH", share.participant_x, share.threshold_t, share.n_participants)
@@ -341,10 +355,7 @@ def decode_share(data: bytes):
     r = _Reader(data)
     _read_header(r, KIND_KEY_SHARE)
     x, t, n_participants = struct.unpack("<HHH", r.take(6))
-    if not 1 <= t <= n_participants <= MAX_PARTICIPANTS:
-        raise FieldError(f"invalid threshold configuration t={t}, n={n_participants}")
-    if not 1 <= x <= n_participants:
-        raise FieldError(f"participant_x {x} out of range [1, {n_participants}]")
+    _check_share_config(x, t, n_participants)
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     pk = decode_public_key(r.take(len(r.data) - r.pos))
@@ -358,7 +369,15 @@ def decode_share(data: bytes):
     )
 
 
+def _check_partial(x: int, proof_len: int, mode: int) -> None:
+    if not 1 <= x <= MAX_PARTICIPANTS:
+        raise FieldError(f"participant_x {x} out of range [1, {MAX_PARTICIPANTS}]")
+    if proof_len != _PROOF_SIZES[mode]:
+        raise FieldError(f"proof length {proof_len} inconsistent with mode {mode}")
+
+
 def encode_partial(partial) -> bytes:
+    _check_partial(partial.participant_x, len(partial.acorn_proof), MODE_MULTI)
     return (
         pack_header(KIND_PARTIAL_SIGNATURE, MODE_MULTI)
         + struct.pack("<HH", partial.participant_x, len(partial.acorn_proof))
@@ -373,10 +392,7 @@ def decode_partial(data: bytes):
     r = _Reader(data)
     mode = _read_header(r, KIND_PARTIAL_SIGNATURE)
     x, proof_len = struct.unpack("<HH", r.take(4))
-    if not 1 <= x <= MAX_PARTICIPANTS:
-        raise FieldError(f"participant_x {x} out of range [1, {MAX_PARTICIPANTS}]")
-    if proof_len != _PROOF_SIZES[mode]:
-        raise FieldError(f"proof length {proof_len} inconsistent with mode {mode}")
+    _check_partial(x, proof_len, mode)
     sigma = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     proof = r.take(proof_len)
     r.expect_end()

@@ -14,7 +14,7 @@ object's hash, so a key hashes once however often it is looked up.
 The check is split in two so that a verifier holding many candidate keys,
 as a ring verifier does, can test the norm once per signature
 (norm_within_bound) and then the identity for all keys at once
-(identity_holds); verify_detail runs both in that order for a single key.
+(identity_holds); verify runs both in that order for a single key.
 identity_holds first tests every key at one root psi of X^n + 1, where
 each key contributes three numbers, A(psi), v0(psi) and v1(psi)
 (root_values). An identity that holds in the ring holds at every root, so
@@ -99,10 +99,13 @@ class PublicKey:
 @dataclass(frozen=True)
 class PrivateKey:
     seed: bytes = field(repr=False)
-    tr: bytes  # SHA3-384 of the encoded public key
+    tr: bytes = field(init=False)  # SHA3-384 of pk.encoded, derived from pk
     s0: Polynomial = field(repr=False)
     s1: Polynomial = field(repr=False)
     pk: PublicKey
+
+    def __post_init__(self):
+        object.__setattr__(self, "tr", hashlib.sha3_384(self.pk.encoded).digest())
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,7 @@ def keypair_from_secrets(rho_seed: bytes, s0: Polynomial, s1: Polynomial,
     f = ntt_forward((expand_matrix(rho_seed).coeffs, s0.coeffs, s1.coeffs))
     v0, v1 = ntt_inverse(f[0] * f[1:] % Q)  # A*s0 and A*s1 in one inverse
     pk = PublicKey(rho_seed=rho_seed, v0=Polynomial(coeffs=v0), v1=Polynomial(coeffs=v1))
-    tr = hashlib.sha3_384(pk.encoded).digest()
-    sk = PrivateKey(seed=seed, tr=tr, s0=s0, s1=s1, pk=pk)
-    return sk, pk
+    return PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk), pk
 
 
 def keygen(entropy: bytes, params: RingParams):
@@ -205,13 +206,6 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     return held
 
 
-def verify_detail(pk: PublicKey, message: bytes, sig: ChipmunkSignature) -> str:
-    """Check a signature; returns 'ok', 'norm', or 'identity'."""
-    if not norm_within_bound(sig):
-        return "norm"
-    return "ok" if identity_holds((pk,), message, sig)[0] else "identity"
-
-
 def verify(pk: PublicKey, message: bytes, sig: ChipmunkSignature) -> bool:
     """Accept iff the signing identity holds and sigma is within the norm bound."""
-    return verify_detail(pk, message, sig) == "ok"
+    return norm_within_bound(sig) and bool(identity_holds((pk,), message, sig)[0])

@@ -83,7 +83,6 @@ class MemberEntry:
 
 @dataclass(frozen=True)
 class RingSignature:
-    ring_size: int
     required_signers: int
     challenge: bytes
     per_member: tuple
@@ -160,7 +159,6 @@ def ring_sign(sk: hots.PrivateKey, signer_index: int, message: bytes, ring: Ring
                                               params)
     core = hots.sign(sk, challenge)
     return RingSignature(
-        ring_size=ring.size,
         required_signers=1,
         challenge=challenge,
         per_member=entries,
@@ -171,10 +169,8 @@ def ring_sign(sk: hots.PrivateKey, signer_index: int, message: bytes, ring: Ring
 
 def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
     """Shape checks of both modes; '' when clean."""
-    if sig.ring_size != ring.size:
-        return f"ring_size {sig.ring_size} != ring of {ring.size}"
-    if len(sig.per_member) != sig.ring_size:
-        return "per-member record count mismatch"
+    if len(sig.per_member) != ring.size:
+        return f"ring_size {len(sig.per_member)} != ring of {ring.size}"
     if len(sig.challenge) != DIGEST_SIZE:
         return "challenge length mismatch"
     for i, entry in enumerate(sig.per_member):
@@ -277,11 +273,6 @@ def ring_verify_report(sig: RingSignature, message: bytes, ring: Ring,
     return _verify_report(sig, message, ring, params)
 
 
-def ring_verify(sig: RingSignature, message: bytes, ring: Ring,
-                params: RingParams) -> bool:
-    return ring_verify_report(sig, message, ring, params).ok
-
-
 def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
                             params: RingParams) -> VerifyReport:
     """Verify a threshold (t > 1) ring signature with a diagnostic reason."""
@@ -290,19 +281,9 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
     return _verify_report(sig, message, ring, params)
 
 
-def threshold_verify(sig: RingSignature, message: bytes, ring: Ring,
-                     params: RingParams) -> bool:
-    return threshold_verify_report(sig, message, ring, params).ok
-
-
 def verify_signature_report(sig: RingSignature, message: bytes, ring: Ring,
                             params: RingParams) -> VerifyReport:
     """Dispatch on required_signers: 1 -> single-signer, else threshold."""
     if sig.required_signers == 1:
         return ring_verify_report(sig, message, ring, params)
     return threshold_verify_report(sig, message, ring, params)
-
-
-def verify_signature(sig: RingSignature, message: bytes, ring: Ring,
-                     params: RingParams) -> bool:
-    return verify_signature_report(sig, message, ring, params).ok

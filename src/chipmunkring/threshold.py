@@ -41,12 +41,8 @@ from .params import (
 )
 from .polyring import Polynomial, add, hash_to_poly, mul, uniform_rows
 from .ringsig import Ring, RingSignature, build_member_entries, core_matches, ring_hash
-from .ringsig import (  # the verifiers live in ringsig and stay importable here
-    threshold_verify,
-    threshold_verify_report,
-    verify_signature,
-    verify_signature_report,
-)
+# the verifiers live in ringsig; perfbench reaches these two through this module
+from .ringsig import threshold_verify_report, verify_signature_report
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,7 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     lag = lagrange_at_zero([p.participant_x for p in parts])
     challenge, entries = threshold_challenge(message, ring, params)
     sigma = np.array(lag) @ np.stack([p.sigma_share.coeffs for p in parts]) % Q
-    sig = RingSignature(ring.size, t, challenge, entries,
+    sig = RingSignature(t, challenge, entries,
                         hots.ChipmunkSignature(sigma=Polynomial(coeffs=sigma)), b"")
 
     masters = core_matches(sig, ring)

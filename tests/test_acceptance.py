@@ -31,7 +31,7 @@ from chipmunkring.threshold import (
     partial_sign,
     share_scalar,
     threshold_challenge,
-    threshold_verify,
+    threshold_verify_report,
 )
 
 rng = random.Random(0xACCE97)
@@ -64,7 +64,7 @@ def test_criterion_1_completeness_sweep(key_pool, single_params):
                 sig = ringsig.ring_sign(
                     key_pool[pos][0], pos, msg, ring, entropy, single_params
                 )
-                if not ringsig.ring_verify(sig, msg, ring, single_params):
+                if not ringsig.ring_verify_report(sig, msg, ring, single_params).ok:
                     failures += 1
                 trials += 1
         sweep += 1
@@ -93,7 +93,7 @@ def test_criterion_2_threshold_grid(key_pool, multi_params):
         subset = sorted(rng.sample(range(n), t))
         partials = [partial_sign(shares[i], challenge, multi_params) for i in subset]
         sig = combine(partials, msg, ring, t, multi_params)
-        assert threshold_verify(sig, msg, ring, multi_params), f"({t},{n}) rejected"
+        assert threshold_verify_report(sig, msg, ring, multi_params).ok, f"({t},{n}) rejected"
         # every (t-1)-subset of the honest partials must fail
         for reduced in combinations(partials, t - 1):
             if t - 1 == 0:
@@ -202,7 +202,6 @@ def _synthetic_signature(k, t=1, proof_size=64):
         for _ in range(k)
     )
     return RingSignature(
-        ring_size=k,
         required_signers=t,
         challenge=rng.randbytes(32),
         per_member=entries,

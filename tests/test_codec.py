@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import struct
 
 import numpy as np
@@ -33,10 +34,11 @@ from chipmunkring.errors import (
     FieldError,
     TruncatedDataError,
 )
-from chipmunkring.hots import ChipmunkSignature
+from chipmunkring.hots import ChipmunkSignature, PrivateKey
 from chipmunkring.params import N, Q
 from chipmunkring.polyring import Polynomial
 from chipmunkring.ringsig import MemberEntry, RingSignature
+from chipmunkring.threshold import KeyShare, PartialSignature
 from polyref import zero
 
 rng = random.Random(0x0DEC)
@@ -57,7 +59,6 @@ def synthetic_signature(k, t=1, proof_size=64):
         for _ in range(k)
     )
     return RingSignature(
-        ring_size=k,
         required_signers=t,
         challenge=rng.randbytes(32),
         per_member=entries,
@@ -223,7 +224,6 @@ def test_signature_size_affine_in_k():
 def test_signature_inconsistent_threshold_block_rejected():
     sig = synthetic_signature(4, t=2, proof_size=96)
     bad = RingSignature(
-        ring_size=sig.ring_size,
         required_signers=sig.required_signers,
         challenge=sig.challenge,
         per_member=sig.per_member,
@@ -338,10 +338,7 @@ def test_decoder_size_bound_messages(key_pool, multi_params, kind, fmt, values, 
 def test_roundtrip_bijectivity_1000_per_kind():
     # synthetic objects: codec contracts do not require algebraic consistency
     # between fields, only structural validity
-    import hashlib
-
-    from chipmunkring.hots import PrivateKey, PublicKey
-    from chipmunkring.threshold import KeyShare, PartialSignature
+    from chipmunkring.hots import PublicKey
 
     def random_pk():
         return PublicKey(rho_seed=rng.randbytes(32), v0=random_poly(), v1=random_poly())
@@ -352,9 +349,7 @@ def test_roundtrip_bijectivity_1000_per_kind():
 
     for _ in range(1000):
         pk = random_pk()
-        tr = hashlib.sha3_384(encode_public_key(pk)).digest()
-        sk = PrivateKey(seed=rng.randbytes(32), tr=tr,
-                        s0=random_poly(), s1=random_poly(), pk=pk)
+        sk = PrivateKey(seed=rng.randbytes(32), s0=random_poly(), s1=random_poly(), pk=pk)
         assert decode_private_key(encode_private_key(sk)) == sk
 
     for _ in range(1000):
@@ -393,7 +388,8 @@ def test_signature_mode_follows_proof_length():
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"ring_size": 3}, "per-member record count does not match ring_size"),
+    ({"per_member": (MemberEntry(bytes(32), bytes(64), bytes(32)),)},
+     r"ring_size 1 out of range \[2, 64\]"),
     ({"threshold_zk_proofs": b"\x00" * 64},
      "single-signer signature carries a threshold block"),
 ])
@@ -401,3 +397,57 @@ def test_encode_signature_rejects_inconsistent_fields(change, message):
     sig = dataclasses.replace(synthetic_signature(4), **change)
     with pytest.raises(FieldError, match=message):
         encode_signature(sig)
+
+
+def with_record(sig, i, **fields):
+    entries = list(sig.per_member)
+    entries[i] = dataclasses.replace(entries[i], **fields)
+    return dataclasses.replace(sig, per_member=tuple(entries))
+
+
+def shifted_challenge(sig):
+    """sig with its challenge's last byte moved to the front of the first
+    record's randomness: the same bytes back to back, in the wrong fields."""
+    moved = dataclasses.replace(sig, challenge=sig.challenge[:-1])
+    return with_record(moved, 0, randomness=sig.challenge[-1:] + sig.per_member[0].randomness)
+
+
+@pytest.mark.parametrize("encode, make, message", [
+    pytest.param(encode_signature, lambda sig, pk: dataclasses.replace(
+        sig, per_member=sig.per_member * 17), "ring_size 68 out of range [2, 64]",
+        id="68 records"),
+    pytest.param(encode_signature, lambda sig, pk: dataclasses.replace(
+        sig, required_signers=0), "required_signers 0 out of range [1, 64]", id="t=0"),
+    pytest.param(encode_signature, lambda sig, pk: dataclasses.replace(
+        sig, required_signers=70, threshold_zk_proofs=bytes(70 * 64)),
+        "required_signers 70 out of range [1, 64]", id="t=70"),
+    pytest.param(encode_signature, lambda sig, pk: shifted_challenge(sig),
+                 "challenge must be 32 bytes, got 31", id="31-byte challenge"),
+    pytest.param(encode_signature, lambda sig, pk: with_record(sig, 2, randomness=bytes(31)),
+                 "member record fields must be 32, 64 and 32 bytes", id="randomness"),
+    pytest.param(encode_signature, lambda sig, pk: with_record(sig, 2, acorn_proof=bytes(96)),
+                 "member record fields must be 32, 64 and 32 bytes", id="proof"),
+    pytest.param(encode_signature, lambda sig, pk: with_record(sig, 3, linkability=bytes(33)),
+                 "member record fields must be 32, 64 and 32 bytes", id="linkability"),
+    pytest.param(encode_partial, lambda sig, pk: PartialSignature(
+        participant_x=1, sigma_share=sig.chipmunk_sig.sigma, acorn_proof=bytes(64)),
+        "proof length 64 inconsistent with mode 2", id="partial proof"),
+    pytest.param(encode_partial, lambda sig, pk: PartialSignature(
+        participant_x=0, sigma_share=sig.chipmunk_sig.sigma, acorn_proof=bytes(96)),
+        "participant_x 0 out of range [1, 64]", id="partial x"),
+    pytest.param(encode_share, lambda sig, pk: KeyShare(
+        participant_x=9, s0_share=sig.chipmunk_sig.sigma, s1_share=sig.chipmunk_sig.sigma,
+        pk=pk, n_participants=3, threshold_t=2),
+        "participant_x 9 out of range [1, 3]", id="share x"),
+    pytest.param(encode_share, lambda sig, pk: KeyShare(
+        participant_x=1, s0_share=sig.chipmunk_sig.sigma, s1_share=sig.chipmunk_sig.sigma,
+        pk=pk, n_participants=3, threshold_t=4),
+        "invalid threshold configuration t=4, n=3", id="share t"),
+    pytest.param(encode_private_key, lambda sig, pk: PrivateKey(
+        seed=bytes(31), s0=sig.chipmunk_sig.sigma, s1=sig.chipmunk_sig.sigma, pk=pk),
+        "seed must be 32 bytes, got 31", id="private key seed"),
+])
+def test_encoders_refuse_what_decoders_refuse(key_pool, encode, make, message):
+    obj = make(synthetic_signature(4), key_pool[0][1])
+    with pytest.raises(FieldError, match=re.escape(message)):
+        encode(obj)

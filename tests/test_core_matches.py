@@ -47,7 +47,7 @@ def oracle_matches(sig, ring):
 
 def core_signature(challenge, core):
     # core_matches reads only the challenge and the core signature
-    return RingSignature(ring_size=0, required_signers=1, challenge=challenge,
+    return RingSignature(required_signers=1, challenge=challenge,
                          per_member=(), chipmunk_sig=core, threshold_zk_proofs=b"")
 
 

@@ -1,9 +1,20 @@
+import dataclasses
+import hashlib
 import random
+import re
 
 import pytest
 
 from chipmunkring import codec, hots
-from chipmunkring.hots import ChipmunkSignature, keygen, keypair_from_secrets, sign, verify
+from chipmunkring.errors import FieldError
+from chipmunkring.hots import (
+    ChipmunkSignature,
+    PrivateKey,
+    keygen,
+    keypair_from_secrets,
+    sign,
+    verify,
+)
 from chipmunkring.params import Q, RingParams
 from chipmunkring.polyring import (
     add,
@@ -97,7 +108,7 @@ def test_verify_norm_violation(key_pool):
     coeffs = list(sig.sigma.coeffs)
     coeffs[0] = Q // 2
     big = ChipmunkSignature(sigma=sig.sigma.__class__(coeffs=tuple(coeffs)))
-    assert hots.verify_detail(pk, msg, big) == "norm"
+    assert not hots.norm_within_bound(big)
 
 
 def test_verify_wrong_key(key_pool):
@@ -105,7 +116,8 @@ def test_verify_wrong_key(key_pool):
     _, other_pk = key_pool[3]
     msg = b"wrong key"
     sig = sign(sk, msg)
-    assert hots.verify_detail(other_pk, msg, sig) == "identity"
+    assert hots.norm_within_bound(sig)
+    assert not hots.identity_holds((other_pk,), msg, sig)[0]
 
 
 def test_zero_signature_never_accepted(key_pool):
@@ -143,3 +155,20 @@ def test_verify_matches_literal_identity(key_pool):
         bad = ChipmunkSignature(sigma=add(sig.sigma, hash_to_poly(b"noise %d" % j)))
         lhs_bad = mul(a, bad.sigma)
         assert (lhs_bad == rhs) == verify(pk, msg, bad)
+
+
+def test_tr_is_derived_from_the_public_key(key_pool):
+    sk, other = key_pool[0][0], key_pool[1][1]
+    moved = dataclasses.replace(sk, pk=other)  # replace() rebuilds the key: tr follows pk
+    assert moved.tr == hashlib.sha3_384(other.encoded).digest()
+    blob = codec.encode_private_key(moved)
+    assert codec.decode_private_key(blob) == moved
+    text = repr(moved)
+    assert f"tr={moved.tr!r}" in text
+    assert not re.search(r"\b(seed|s0|s1)=", text)  # rho_seed= is public
+    stale = bytearray(blob)
+    stale[codec.HEADER_BYTES + 32] ^= 1  # first byte of the stored tr
+    with pytest.raises(FieldError, match="tr digest does not match the embedded public key"):
+        codec.decode_private_key(bytes(stale))
+    with pytest.raises(TypeError):
+        PrivateKey(seed=sk.seed, tr=moved.tr, s0=sk.s0, s1=sk.s1, pk=other)

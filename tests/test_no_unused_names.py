@@ -1,12 +1,13 @@
 """Every top-level function and class of the package, and every domain tag,
 has a use.
 
-A name is used when some module under src/chipmunkring refers to it, or
-when perfbench/tracing.py's TARGETS table names it, since the traced
-benchmark looks those up. The package root imports only modules, so it
-uses no name (tests/test_package_root.py keeps it that way). Its own
-definition, and a tag's entry in ALL_DOMAIN_TAGS, are not uses. A helper
-that only tests need belongs under tests/.
+A name is used when some module under src/chipmunkring reads it or names
+it as an attribute, or when perfbench/tracing.py's TARGETS table names it,
+since the traced benchmark looks those up. Its own definition, a tag's
+entry in ALL_DOMAIN_TAGS, and an import are not uses: a name that a module
+only imports, or re-exports, has no caller there. The package root imports
+only modules (tests/test_package_root.py keeps it that way). A helper that
+only tests need belongs under tests/.
 
 Every parameter of every function, in the package and under tests/, is
 read, so an argument a function ignores cannot linger in its signature.
@@ -45,8 +46,8 @@ def definitions():
 
 
 class References(ast.NodeVisitor):
-    """Every name read, attribute named or name imported, outside the
-    ALL_DOMAIN_TAGS listing."""
+    """Every name read or attribute named, outside the ALL_DOMAIN_TAGS
+    listing. Importing a name is not a use of it."""
 
     def __init__(self):
         self.names = set()
@@ -63,9 +64,6 @@ class References(ast.NodeVisitor):
     def visit_Attribute(self, node):
         self.names.add(node.attr)
         self.generic_visit(node)
-
-    def visit_ImportFrom(self, node):
-        self.names.update(alias.name for alias in node.names)
 
 
 def test_every_name_has_a_use(monkeypatch):

@@ -9,7 +9,6 @@ from chipmunkring.ringsig import (
     Ring,
     ring_hash,
     ring_sign,
-    ring_verify,
     ring_verify_report,
 )
 from chipmunkring.threshold import threshold_challenge
@@ -58,7 +57,7 @@ def test_completeness_all_positions(key_pool, single_params, k):
     ring = make_ring(key_pool, k)
     for idx in range(k):
         sig = ring_sign(key_pool[idx][0], idx, MSG, ring, ENTROPY, single_params)
-        assert ring_verify(sig, MSG, ring, single_params)
+        assert ring_verify_report(sig, MSG, ring, single_params).ok
 
 
 def test_sign_deterministic(key_pool, single_params):
@@ -76,8 +75,8 @@ def test_anonymity_per_member_records_identical(key_pool, single_params):
     assert sig0.per_member == sig1.per_member
     assert sig0.challenge == sig1.challenge
     assert sig0.chipmunk_sig != sig1.chipmunk_sig
-    assert ring_verify(sig0, MSG, ring, single_params)
-    assert ring_verify(sig1, MSG, ring, single_params)
+    assert ring_verify_report(sig0, MSG, ring, single_params).ok
+    assert ring_verify_report(sig1, MSG, ring, single_params).ok
 
 
 def test_sign_wrong_position(key_pool, single_params):
@@ -178,7 +177,7 @@ def test_multi_mode_single_signer(key_pool, multi_params):
     ring = make_ring(key_pool, 4)
     sig = ring_sign(key_pool[1][0], 1, MSG, ring, ENTROPY, multi_params)
     assert len(sig.per_member[0].acorn_proof) == 96
-    assert ring_verify(sig, MSG, ring, multi_params)
+    assert ring_verify_report(sig, MSG, ring, multi_params).ok
     assert len(codec.encode_signature(sig)) == 1456 + 160 * 4
 
 

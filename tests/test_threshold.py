@@ -31,9 +31,7 @@ from chipmunkring.threshold import (
     partial_sign,
     share_scalar,
     threshold_challenge,
-    threshold_verify,
     threshold_verify_report,
-    verify_signature,
     verify_signature_report,
 )
 from polyref import horner_share, scalar_mul, zero
@@ -331,14 +329,14 @@ def workflow(key_pool, params, t, n, ring_size, subset=None):
 
 def test_workflow_2_of_4(key_pool, multi_params):
     sig, ring = workflow(key_pool, multi_params, 2, 4, 4, subset=[1, 3])
-    assert threshold_verify(sig, MSG, ring, multi_params)
+    assert threshold_verify_report(sig, MSG, ring, multi_params).ok
     assert sig.required_signers == 2
     assert len(sig.threshold_zk_proofs) == 2 * 96
 
 
 def test_workflow_3_of_8(key_pool, multi_params):
     sig, ring = workflow(key_pool, multi_params, 3, 8, 8, subset=[0, 4, 7])
-    assert threshold_verify(sig, MSG, ring, multi_params)
+    assert threshold_verify_report(sig, MSG, ring, multi_params).ok
 
 
 def test_subsets_below_threshold_fail(key_pool, multi_params):
@@ -387,7 +385,7 @@ def test_combine_sigma_matches_helper_reference(key_pool, multi_params, t, n):
     for L, p in zip(lag, partials):
         reference = add(reference, scalar_mul(L, p.sigma_share))
     assert sig.chipmunk_sig.sigma == reference
-    assert verify_signature(sig, MSG, ring, multi_params)
+    assert verify_signature_report(sig, MSG, ring, multi_params).ok
 
 
 def test_combine_rejects_bad_partial_lists_before_any_chain(key_pool, multi_params,
@@ -462,7 +460,7 @@ def test_combine_t1_yields_single_signer_signature(key_pool, multi_params):
     sig = combine([partial], MSG, ring, 1, multi_params)
     assert sig.required_signers == 1
     assert sig.threshold_zk_proofs == b""
-    assert verify_signature(sig, MSG, ring, multi_params)
+    assert verify_signature_report(sig, MSG, ring, multi_params).ok
 
 
 def test_dispatch_verifies_both_kinds(key_pool, single_params, multi_params):
@@ -470,9 +468,9 @@ def test_dispatch_verifies_both_kinds(key_pool, single_params, multi_params):
 
     ring = make_ring(key_pool, 4)
     single = ring_sign(key_pool[0][0], 0, MSG, ring, b"\x72" * 32, single_params)
-    assert verify_signature(single, MSG, ring, single_params)
+    assert verify_signature_report(single, MSG, ring, single_params).ok
     tsig, tring = workflow(key_pool, multi_params, 2, 4, 4)
-    assert verify_signature(tsig, MSG, tring, multi_params)
+    assert verify_signature_report(tsig, MSG, tring, multi_params).ok
 
 
 def test_threshold_verifier_does_not_check_member_proofs(key_pool, multi_params):
@@ -488,7 +486,7 @@ def test_threshold_verifier_does_not_check_member_proofs(key_pool, multi_params)
     entries = tuple(MemberEntry(r, p, tag) for r, p in zip(randomness, proofs))
     block = b"".join(threshold.share_proof(master_pk, challenge, x, multi_params)
                      for x in (1, 2))
-    sig = RingSignature(ring_size=ring.size, required_signers=2, challenge=challenge,
+    sig = RingSignature(required_signers=2, challenge=challenge,
                         per_member=entries,
                         chipmunk_sig=hots.sign(master_sk, challenge),
                         threshold_zk_proofs=block)
