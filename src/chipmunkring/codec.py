@@ -136,18 +136,19 @@ def encode_polynomial(p) -> bytes:
     return words.view(np.uint8).reshape(-1, 16)[:, :11].tobytes()
 
 
-def _unpack(data: bytes) -> np.ndarray:
-    """The uint64 coefficients of whole polynomials packed back to back.
+def decode_polynomial(data: bytes):
+    """Unpack 1408 bytes into 512 coefficients.
 
     Raises FieldError naming the first coefficient that is not below q.
     """
-    groups = len(data) // 11
-    if groups == 0:
-        return np.empty(0, dtype=np.uint64)
+    if len(data) != POLYNOMIAL_BYTES:
+        raise TruncatedDataError(
+            f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}"
+        )
     # group g's 88 bits, read as two unaligned u64 words at bytes 11g and 11g + 3
-    lo = np.ndarray((groups,), dtype="<u8", buffer=data, strides=(11,))
-    hi = np.ndarray((groups,), dtype="<u8", buffer=data, offset=3, strides=(11,))
-    c = np.empty((groups, 4), dtype=np.uint64)
+    lo = np.ndarray((N // 4,), dtype="<u8", buffer=data, strides=(11,))
+    hi = np.ndarray((N // 4,), dtype="<u8", buffer=data, offset=3, strides=(11,))
+    c = np.empty((N // 4, 4), dtype=np.uint64)
     c[:, 0] = lo
     c[:, 1] = lo >> 22
     c[:, 2] = hi >> 20  # bits 44..65
@@ -156,19 +157,13 @@ def _unpack(data: bytes) -> np.ndarray:
     c &= _MASK22
     if c.max() >= Q:
         raise FieldError(f"coefficient {int(c[np.argmax(c >= Q)])} out of range [0, {Q})")
-    return c
-
-
-def decode_polynomial(data: bytes):
-    if len(data) != POLYNOMIAL_BYTES:
-        raise TruncatedDataError(
-            f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}"
-        )
-    return Polynomial(coeffs=_unpack(data))
+    return Polynomial(coeffs=c)
 
 
 def public_key_bytes(rho_seed: bytes, v0, v1) -> bytes:
     """The canonical encoding of a public key's fields (mode byte 1)."""
+    if len(rho_seed) != 32:
+        raise FieldError(f"rho_seed must be 32 bytes, got {len(rho_seed)}")
     return (
         pack_header(KIND_PUBLIC_KEY, MODE_SINGLE)
         + rho_seed
@@ -203,28 +198,21 @@ def _decode_public_key(data: bytes):
     which carries its root values once computed (hots.root_values).
     Only successful decodes are stored; hostile bytes raise the same error
     on every call.
-
-    v0 and v1 are unpacked in one pass. The checks still run in the order
-    of reading v0 and then v1: truncation of v0, a bad coefficient in v0,
-    truncation of v1, a bad coefficient in v1, trailing bytes.
     """
     from .hots import PublicKey
 
     r = _Reader(data)
     mode = _read_header(r, KIND_PUBLIC_KEY)
     rho_seed = r.take(32)
-    body = data[r.pos:r.pos + 2 * POLYNOMIAL_BYTES]
-    c = _unpack(body[:len(body) // POLYNOMIAL_BYTES * POLYNOMIAL_BYTES])
-    r.take(POLYNOMIAL_BYTES)
-    r.take(POLYNOMIAL_BYTES)
+    v0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
+    v1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     r.expect_end()
     # encode_public_key writes mode 1 whatever the mode byte read; with mode 1
     # the key keeps the input itself, the object the cache holds as its key
     encoded = data
     if mode != MODE_SINGLE:
         encoded = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + data[HEADER_BYTES:]
-    return PublicKey(rho_seed=rho_seed, v0=Polynomial(coeffs=c[:N]),
-                     v1=Polynomial(coeffs=c[N:]), decoded_from=encoded)
+    return PublicKey(rho_seed=rho_seed, v0=v0, v1=v1, decoded_from=encoded)
 
 
 def encode_private_key(sk) -> bytes:

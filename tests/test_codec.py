@@ -24,6 +24,7 @@ from chipmunkring.codec import (
     encode_public_key,
     encode_share,
     encode_signature,
+    public_key_bytes,
     signature_mode,
 )
 from chipmunkring.errors import (
@@ -35,7 +36,7 @@ from chipmunkring.errors import (
     TruncatedDataError,
 )
 from chipmunkring.hots import ChipmunkSignature, PrivateKey
-from chipmunkring.params import N, Q
+from chipmunkring.params import N, Q, preset
 from chipmunkring.polyring import Polynomial
 from chipmunkring.ringsig import MemberEntry, RingSignature
 from chipmunkring.threshold import KeyShare, PartialSignature
@@ -204,11 +205,22 @@ def test_signature_roundtrip_threshold():
 
 
 def test_signature_size_formula():
-    # fixed overhead: header(8) + 4 + challenge(32) + sigma(1408) + 4
+    # fixed overhead: header(8) + 4 + challenge(32) + sigma(1408) + 4; a record
+    # is randomness(32) | proof | linkability(32), and a threshold block holds
+    # t proofs. The README's size column states 64- and 96-byte proofs.
+    for name, mode, proof_size in (("single", MODE_SINGLE, 64), ("multi", MODE_MULTI, 96)):
+        assert preset(name).proof_size == proof_size
+        sig = decode_signature(encode_signature(synthetic_signature(2, proof_size=proof_size)))
+        assert signature_mode(sig) == mode
+        assert {len(e.acorn_proof) for e in sig.per_member} == {proof_size}
     for k in (2, 3, 17, 64):
         assert len(encode_signature(synthetic_signature(k))) == 1456 + 128 * k
     assert len(encode_signature(synthetic_signature(4, t=2, proof_size=96))) \
         == 1456 + 160 * 4 + 2 * 96
+    for k in (2, 64):
+        for t in (2, k):
+            sig = synthetic_signature(k, t=t, proof_size=96)
+            assert len(encode_signature(sig)) == 1456 + 160 * k + 96 * t
 
 
 def test_signature_size_affine_in_k():
@@ -446,6 +458,8 @@ def shifted_challenge(sig):
     pytest.param(encode_private_key, lambda sig, pk: PrivateKey(
         seed=bytes(31), s0=sig.chipmunk_sig.sigma, s1=sig.chipmunk_sig.sigma, pk=pk),
         "seed must be 32 bytes, got 31", id="private key seed"),
+    pytest.param(lambda args: public_key_bytes(*args), lambda sig, pk: (
+        bytes(31), pk.v0, pk.v1), "rho_seed must be 32 bytes, got 31", id="public key rho_seed"),
 ])
 def test_encoders_refuse_what_decoders_refuse(key_pool, encode, make, message):
     obj = make(synthetic_signature(4), key_pool[0][1])

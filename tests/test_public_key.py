@@ -1,10 +1,10 @@
 """Public keys carry their canonical bytes.
 
-decode_public_key unpacks v0 and v1 in one pass and keeps the bytes it
-read as the key's encoding. The reference below is the two-step decoder it
-replaced: it reads and checks v0, then v1, and rebuilds the encoding from
-the fields. On every input both must return an equal key or raise the same
-exception type with the same message.
+decode_public_key reads rho_seed, v0 and v1 in wire order and keeps the
+bytes it read as the key's encoding. The reference below reads the same
+fields the same way but rebuilds the encoding from them. On every input
+both must return an equal key or raise the same exception type with the
+same message.
 
 decode_public_key is memoised on its input bytes (an LRU of 256 keys), and a
 key keeps its root values once computed; the tests at the end pin both.

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -230,37 +231,131 @@ def test_challenge_binding_fuzz(key_pool, single_params, k):
             assert not report.ok and report.reason == "challenge"
 
 
-def test_hostile_verify_is_bounded_by_ring_size(key_pool, single_params, monkeypatch):
-    # every proof is garbage, yet the challenge, the tags and the core
-    # signature are all consistent with them: only the Acorn scan can reject,
-    # and it runs each member's chain at most once
+def _garbage_proofs(sig, message, ring, signer_sk):
+    """sig with every proof garbage, yet the challenge, the tags and the core
+    signature all consistent with them: only the Acorn scan can reject."""
     from chipmunkring import acorn, hots
 
-    k = 64
-    ring = make_ring(key_pool, k)
-    sig = ring_sign(key_pool[5][0], 5, MSG, ring, ENTROPY, single_params)
     proofs = [bytes(b ^ 0xA5 for b in e.acorn_proof) for e in sig.per_member]
     rhash = ring_hash(ring)
     challenge = ringsig.challenge_digest(
-        MSG, rhash, zip((e.randomness for e in sig.per_member), proofs))
-    tag = acorn.linkability_tag(rhash, MSG, challenge)
+        message, rhash, zip((e.randomness for e in sig.per_member), proofs))
+    tag = acorn.linkability_tag(rhash, message, challenge)
     entries = tuple(dataclasses.replace(e, acorn_proof=p, linkability=tag)
                     for e, p in zip(sig.per_member, proofs))
-    hostile = dataclasses.replace(
-        sig, challenge=challenge, per_member=entries,
-        chipmunk_sig=hots.sign(key_pool[5][0], challenge))
+    return dataclasses.replace(sig, challenge=challenge, per_member=entries,
+                               chipmunk_sig=hots.sign(signer_sk, challenge))
 
-    chains = []
-    real = acorn.create_proof
 
-    def counted(pk, message, randomness, index, params):
-        chains.append(index)
-        return real(pk, message, randomness, index, params)
+def _threshold_signature(message, ring, master_sk, params):
+    """16-of-32 signature by participants 17..32, so max(x) = 32."""
+    from chipmunkring import threshold
 
-    monkeypatch.setattr(acorn, "create_proof", counted)
-    report = ring_verify_report(hostile, MSG, ring, single_params)
-    assert report == ringsig.VerifyReport(False, "acorn", "no valid per-member proof")
-    assert 0 < len(chains) <= k
+    shares = threshold.deal_shares(master_sk, 16, 32, b"\x3c" * 32)
+    challenge, _ = threshold.threshold_challenge(message, ring, params)
+    partials = [threshold.partial_sign(sh, challenge, params) for sh in shares[16:]]
+    return threshold.combine(partials, message, ring, 16, params)
+
+
+def _tampered_block(sig):
+    block = bytearray(sig.threshold_zk_proofs)
+    block[-1] ^= 1  # the last proof, x = 32: the scan tries x = 32..64 for it
+    return dataclasses.replace(sig, threshold_zk_proofs=bytes(block))
+
+
+def test_hostile_verify_is_bounded_by_ring_size(key_pool, single_params, multi_params,
+                                                monkeypatch):
+    """One cost budget for verification at k = 64, honest and hostile input.
+
+    Each case decodes its ring and signature from bytes with the decode
+    memo and both threshold caches empty, as a fresh verifier does, and
+    counts the work against its ceiling:
+    - Acorn chains: at most k in single mode; at most MAX_PARTICIPANTS in
+      threshold mode, and exactly max(x) for an honest signature;
+    - NTT rows of the core check: 2 + 3 per distinct candidate key (a key
+      that passes the root test at psi), however often the ring lists it;
+    - expand_matrix: once per distinct key for its root values, once more
+      per distinct candidate;
+    - key decodes: one per distinct key;
+    - SHAKE256 input bytes. Every chain's first block holds the whole chain
+      message, the signed message in single mode, so k x |message| is the
+      term that grows; threshold chains hash the 32-byte challenge.
+    """
+    from chipmunkring import acorn, hots, threshold
+    from chipmunkring.params import MAX_PARTICIPANTS, N
+
+    k = 64
+    message = MSG * 512  # 16 KiB, so the k x |message| term dominates
+    keys = [pk for _, pk in key_pool[:k]]
+    ring = Ring(members=tuple(keys))
+    single = ring_sign(key_pool[5][0], 5, message, ring, ENTROPY, single_params)
+    honest = _threshold_signature(message, ring, key_pool[7][0], multi_params)
+    # the master key at every even position, 32 distinct decoys between
+    repeated = [key_pool[7][1] if i % 2 == 0 else key_pool[32 + i // 2][1]
+                for i in range(k)]
+    on_repeated = _threshold_signature(message, Ring(members=tuple(repeated)),
+                                       key_pool[7][0], multi_params)
+    # name, signature, ring keys, params, reason, chain ceiling, exact chains,
+    # distinct candidate keys
+    cases = [
+        ("honest single", single, keys, single_params, "ok", k, 1, 1),
+        ("garbage proofs", _garbage_proofs(single, message, ring, key_pool[5][0]),
+         keys, single_params, "acorn", k, k, 0),
+        ("honest 16 of 32", honest, keys, multi_params, "ok", MAX_PARTICIPANTS, 32, 1),
+        ("tampered block", _tampered_block(honest), keys, multi_params,
+         "threshold_acorn", MAX_PARTICIPANTS, MAX_PARTICIPANTS, 1),
+        ("one key 32 times", _tampered_block(on_repeated), repeated, multi_params,
+         "threshold_acorn", MAX_PARTICIPANTS, MAX_PARTICIPANTS, 1),
+    ]
+
+    counts = {}
+    real_ntt, real_shake = hots.ntt_forward, hashlib.shake_256
+
+    def calls(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    def ntt_rows(a):
+        out = real_ntt(a)
+        counts["rows"] += out.size // N
+        return out
+
+    def shake(data=b"", **kwargs):
+        counts["shake"] += len(data)
+        return real_shake(data, **kwargs)
+
+    monkeypatch.setattr(acorn, "create_proof", calls("chains", acorn.create_proof))
+    monkeypatch.setattr(hots, "expand_matrix", calls("expand", hots.expand_matrix))
+    monkeypatch.setattr(hots, "ntt_forward", ntt_rows)
+    monkeypatch.setattr(hashlib, "shake_256", shake)
+
+    pk_bytes = len(keys[0].encoded)
+    for name, sig, members, params, reason, ceiling, exact, candidates in cases:
+        blobs = [pk.encoded for pk in members]
+        sig_bytes = codec.encode_signature(sig)
+        codec._decode_public_key.cache_clear()
+        acorn.share_proof.cache_clear()
+        threshold.threshold_challenge.cache_clear()
+        counts.update(chains=0, rows=0, expand=0, shake=0)
+        decoded = Ring(members=tuple(codec.decode_public_key(b) for b in blobs))
+        report = ringsig.verify_signature_report(
+            codec.decode_signature(sig_bytes), message, decoded, params)
+
+        distinct = len(set(blobs))
+        chain_message = message if sig.required_signers == 1 else sig.challenge
+        # per chain: its first block's fixed fields and key, the share seed
+        # (threshold mode hashes the key there too) and the later iterations
+        per_chain = (len(chain_message) + 2 * pk_bytes + 256
+                     + (params.iterations - 1) * params.proof_size)
+        assert report.reason == reason, name
+        assert counts["chains"] == exact <= ceiling, name
+        assert counts["rows"] <= (2 + 3 * candidates if candidates else 0), name
+        assert counts["expand"] <= (distinct + candidates if candidates else 0), name
+        assert codec._decode_public_key.cache_info().misses == distinct, name
+        assert counts["chains"] * len(chain_message) <= counts["shake"] \
+            <= ceiling * per_chain + 256 * (distinct + 2), name
 
 
 @pytest.mark.parametrize("field, detail", [
