@@ -72,10 +72,6 @@ def _load_ring(spec: str) -> Ring:
     return Ring(members=members)
 
 
-def _params_for_signature(sig):
-    return preset(codec.MODE_PRESETS[codec.signature_mode(sig)])
-
-
 def cmd_keygen(args) -> int:
     entropy = _seed_bytes(args.seed)
     sk_path, pk_path = args.out + ".sk", args.out + ".pk"
@@ -109,7 +105,7 @@ def cmd_verify(args) -> int:
     sig = codec.decode_signature(_read(args.sig))
     ring = _load_ring(args.ring)
     message = _read(args.message)
-    params = _params_for_signature(sig)
+    params = codec.MODE_PARAMS[codec.signature_mode(sig)]
     report = ringsig.verify_signature_report(sig, message, ring, params)
     if report.ok:
         print("accept")
@@ -135,6 +131,10 @@ def cmd_partial_sign(args) -> int:
     share = codec.decode_share(_read(args.share))
     ring = _load_ring(args.ring)
     message = _read(args.message)
+    if share.pk not in ring.members:
+        print("error: the share's master public key is not among the ring keys",
+              file=sys.stderr)
+        return EXIT_STRUCTURAL
     params = preset("multi")
     challenge, _ = threshold.threshold_challenge(message, ring, params)
     partial = threshold.partial_sign(share, challenge, params)

@@ -5,7 +5,9 @@ length-prefixed. Every object starts with an 8-byte wire header:
 
     magic "CHRS" | u16 version | u8 kind | u8 mode
 
-kinds: pk=1, sk=2, ringsig=3, share=4, partial=5; modes: single=1, multi=2.
+kinds: pk=1, sk=2, ringsig=3, share=4, partial=5; modes: single=1, multi=2,
+each naming one RingParams member (MODE_PARAMS), so the mode byte fixes
+both the proof size and the chain length.
 Polynomials pack 512 coefficients at a fixed 22 bits each (q < 2^22),
 little-endian bit order, 1408 bytes total.
 
@@ -35,8 +37,8 @@ decode_public_key holds the one cache of per-key verification work: an LRU
 of the 256 most recently decoded keys (four rings of 64), keyed on the
 input bytes. A verifier fed ring after ring with the same decoy keys
 decodes each key once, and the PublicKey it gets back keeps its root
-values (hots.root_values: the three ints A(psi), v0(psi), v1(psi)) once
-the first core check has computed them. Keys embedded in private keys and
+values (PublicKey.root_values: the three ints A(psi), v0(psi), v1(psi))
+once the first core check has computed them. Keys embedded in private keys and
 shares are decoded through the same cache.
 """
 
@@ -52,7 +54,7 @@ from .errors import (
     FieldError,
     TruncatedDataError,
 )
-from .params import MAX_PARTICIPANTS, MAX_RING, MIN_RING, N, Q, preset
+from .params import MAX_PARTICIPANTS, MAX_RING, MIN_RING, N, Q, RingParams
 from .polyring import Polynomial
 
 MAGIC = b"CHRS"
@@ -67,8 +69,7 @@ _KINDS = (1, 2, 3, 4, 5)
 
 MODE_SINGLE = 1
 MODE_MULTI = 2
-MODE_PRESETS = {MODE_SINGLE: "single", MODE_MULTI: "multi"}  # mode byte -> preset name
-_PROOF_SIZES = {mode: preset(name).proof_size for mode, name in MODE_PRESETS.items()}
+MODE_PARAMS = {MODE_SINGLE: RingParams.SINGLE, MODE_MULTI: RingParams.MULTI}
 
 POLYNOMIAL_BYTES = N * 22 // 8  # 1408
 HEADER_BYTES = 8
@@ -120,7 +121,7 @@ def _read_header(r: _Reader, expected_kind: int) -> int:
         raise BadKindError(f"unknown object kind {kind}")
     if kind != expected_kind:
         raise BadKindError(f"expected kind {expected_kind}, got {kind}")
-    if mode not in _PROOF_SIZES:
+    if mode not in MODE_PARAMS:
         raise FieldError(f"unknown params mode {mode}")
     return mode
 
@@ -195,7 +196,7 @@ def _decode_public_key(data: bytes):
 
     Memoised on the input bytes for the 256 most recently used keys (four
     rings of 64): the same bytes decode to the same immutable PublicKey,
-    which carries its root values once computed (hots.root_values).
+    which carries its root values once computed (PublicKey.root_values).
     Only successful decodes are stored; hostile bytes raise the same error
     on every call.
     """
@@ -247,8 +248,8 @@ def decode_private_key(data: bytes):
 def signature_mode(sig) -> int:
     """Infer the params mode from the per-member proof length."""
     plen = len(sig.per_member[0].acorn_proof)
-    for mode, size in _PROOF_SIZES.items():
-        if size == plen:
+    for mode, params in MODE_PARAMS.items():
+        if params.proof_size == plen:
             return mode
     raise FieldError(f"proof length {plen} matches no params mode")
 
@@ -265,7 +266,7 @@ def encode_signature(sig) -> bytes:
     t = sig.required_signers
     _check_signature_counts(len(sig.per_member), t)
     mode = signature_mode(sig)
-    p = _PROOF_SIZES[mode]
+    p = MODE_PARAMS[mode].proof_size
     block = sig.threshold_zk_proofs
     if t == 1 and block != b"":
         raise FieldError("single-signer signature carries a threshold block")
@@ -296,7 +297,7 @@ def decode_signature(data: bytes):
 
     r = _Reader(data)
     mode = _read_header(r, KIND_RING_SIGNATURE)
-    p = _PROOF_SIZES[mode]
+    p = MODE_PARAMS[mode].proof_size
     ring_size, required = struct.unpack("<HH", r.take(4))
     _check_signature_counts(ring_size, required)
     challenge = r.take(32)
@@ -360,7 +361,7 @@ def decode_share(data: bytes):
 def _check_partial(x: int, proof_len: int, mode: int) -> None:
     if not 1 <= x <= MAX_PARTICIPANTS:
         raise FieldError(f"participant_x {x} out of range [1, {MAX_PARTICIPANTS}]")
-    if proof_len != _PROOF_SIZES[mode]:
+    if proof_len != MODE_PARAMS[mode].proof_size:
         raise FieldError(f"proof length {proof_len} inconsistent with mode {mode}")
 
 

@@ -17,10 +17,11 @@ as a ring verifier does, can test the norm once per signature
 (identity_holds); verify runs both in that order for a single key.
 identity_holds first tests every key at one root psi of X^n + 1, where
 each key contributes three numbers, A(psi), v0(psi) and v1(psi)
-(root_values). An identity that holds in the ring holds at every root, so
-only the keys that pass there can meet it, and only those get the full
-check over all n roots, in one batched transform. The work is k root tests
-plus a full check of the distinct candidates, the same whichever key signed.
+(PublicKey.root_values). An identity that holds in the ring holds at every
+root, so only the keys that pass there can meet it, and only those get the
+full check over all n roots, in one batched transform. The work is k root
+tests plus a full check of the distinct candidates, the same whichever key
+signed.
 A key computes its root values on its first core check and keeps them.
 The one cache of per-key work is codec.decode_public_key's LRU of 256
 decoded keys (four rings of 64), so a verifier that sees the same key
@@ -39,6 +40,7 @@ keys only ever sign 32-byte challenge digests.
 
 import hashlib
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,11 +68,6 @@ class PublicKey:
     decoded_from: the canonical bytes it has just decoded the fields from.
     decoded_from is not stored under its own name, so dataclasses.replace
     re-encodes from the new fields.
-
-    The root values a core check stores on a key (see root_values) are
-    not a field: they take no part in equality, hashing or repr, and
-    pickling (also deepcopy) rebuilds the key from its fields and bytes
-    without them.
     """
 
     rho_seed: bytes
@@ -94,6 +91,13 @@ class PublicKey:
 
     def __reduce__(self):
         return PublicKey, (self.rho_seed, self.v0, self.v1, self.encoded)
+
+    @cached_property
+    def root_values(self) -> tuple:
+        """(A(psi), v0(psi), v1(psi)) as ints in [0, q): the values at
+        transform index 0, computed on first use for this key alone."""
+        return tuple(eval_at_psi((expand_matrix(self.rho_seed).coeffs,
+                                  self.v0.coeffs, self.v1.coeffs)).tolist())
 
 
 @dataclass(frozen=True)
@@ -149,23 +153,6 @@ def norm_within_bound(sig: ChipmunkSignature) -> bool:
     return infinity_norm(sig.sigma) <= NORM_BOUND
 
 
-def root_values(pk: PublicKey) -> tuple:
-    """(A(psi), v0(psi), v1(psi)) of one key as ints in [0, q): the values
-    at transform index 0.
-
-    Computed on first use, for this key alone, and stored on the key
-    object, so it lives exactly as long as the key.
-    """
-    try:
-        return pk._root_values
-    except AttributeError:
-        pass
-    values = tuple(eval_at_psi((expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs,
-                                pk.v1.coeffs)).tolist())
-    object.__setattr__(pk, "_root_values", values)
-    return values
-
-
 def _meets(a, v0, v1, s, h) -> np.ndarray:
     """a*s == v0*h + v1 mod q, elementwise over broadcast int64 inputs in [0, q)."""
     lhs = a * s
@@ -190,7 +177,7 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     """
     sigma, h = sig.sigma.coeffs, hash_to_poly(message).coeffs
     s_psi, h_psi = eval_at_psi((sigma, h)).tolist()
-    at = np.array([root_values(pk) for pk in pks], dtype=np.int64)  # (k, 3)
+    at = np.array([pk.root_values for pk in pks], dtype=np.int64)  # (k, 3)
     held = _meets(at[:, 0], at[:, 1], at[:, 2], s_psi, h_psi)
     candidates = np.flatnonzero(held).tolist()
     if candidates:

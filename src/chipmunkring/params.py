@@ -3,10 +3,10 @@
 There is one ring, Z_q[X]/(X^512 + 1) with q = 3,168,257 = 3094*1024 + 1,
 chosen so q is prime and q == 1 (mod 2n), which guarantees a negacyclic NTT
 of length 512 exists. Everything fixed by the scheme is a module constant
-here; a RingParams holds only what the two modes differ in.
+here; a RingParams member holds only what the two modes differ in.
 """
 
-from dataclasses import dataclass
+from enum import Enum
 
 from .errors import ParameterError
 
@@ -54,9 +54,8 @@ ALL_DOMAIN_TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class RingParams:
-    """Immutable parameter set; validated at construction.
+class RingParams(Enum):
+    """The two parameter sets, one per wire mode byte; no other can be built.
 
     proof_size is the per-participant commitment length: 64 bytes in
     single-signer mode, 96 in multi-signer mode. iterations is the hash
@@ -64,24 +63,20 @@ class RingParams:
     between the modes: keys and core signatures are the same in both.
     """
 
-    proof_size: int = 64
-    iterations: int = 100
+    SINGLE = (64, 100)
+    MULTI = (96, 1000)
 
-    def __post_init__(self):
-        if self.proof_size not in (64, 96):
-            raise ParameterError(f"proof_size must be 64 or 96, got {self.proof_size}")
-        if not 1 <= self.iterations <= 10000:
-            raise ParameterError(f"iterations must be in [1, 10000], got {self.iterations}")
+    @property
+    def proof_size(self) -> int:
+        return self.value[0]
 
-
-_PRESETS = {
-    "single": RingParams(proof_size=64, iterations=100),
-    "multi": RingParams(proof_size=96, iterations=1000),
-}
+    @property
+    def iterations(self) -> int:
+        return self.value[1]
 
 
 def preset(mode: str) -> RingParams:
-    """Return the named parameter preset: 'single' or 'multi'."""
-    if mode not in _PRESETS:
+    """Return the named parameter set: 'single' or 'multi'."""
+    if mode not in ("single", "multi"):
         raise ParameterError(f"unknown parameter mode {mode!r}")
-    return _PRESETS[mode]
+    return RingParams[mode.upper()]

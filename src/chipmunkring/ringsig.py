@@ -173,10 +173,11 @@ def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
         return f"ring_size {len(sig.per_member)} != ring of {ring.size}"
     if len(sig.challenge) != DIGEST_SIZE:
         return "challenge length mismatch"
+    size = params.proof_size
     for i, entry in enumerate(sig.per_member):
         if len(entry.randomness) != DIGEST_SIZE:
             return f"randomness length mismatch at member {i}"
-        if len(entry.acorn_proof) != params.proof_size:
+        if len(entry.acorn_proof) != size:
             return f"proof length mismatch at member {i}"
         if len(entry.linkability) != DIGEST_SIZE:
             return f"linkability tag length mismatch at member {i}"

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import hmac
 import struct
@@ -13,35 +12,44 @@ from chipmunkring.acorn import (
     linkability_tag,
     verify_proof,
 )
+from chipmunkring.params import RingParams
 
 
-def independent_proof_oracle(pk, message, randomness, index, proof_size):
-    """One chain step computed from scratch: layout rebuilt here, plain hashlib."""
-    payload = (
+def oracle_chain(pk, message, randomness, index, proof_size, steps):
+    """The chain's states B_1..B_steps computed from scratch: layout rebuilt
+    here, plain hashlib, one step at a time."""
+    state = (
         b"ACORN_COMMITMENT_V1"
         + struct.pack("<I", len(randomness)) + randomness
         + struct.pack("<I", len(message)) + message
         + struct.pack("<I", index)
         + codec.encode_public_key(pk)
     )
-    return hashlib.shake_256(payload).digest(max(proof_size, 32))[:proof_size]
+    states = []
+    for _ in range(steps):
+        state = hashlib.shake_256(state).digest(max(proof_size, 32))[:proof_size]
+        states.append(state)
+    return states
 
 
-def test_single_iteration_matches_xof_oracle(key_pool, single_params):
+def independent_proof_oracle(pk, message, randomness, index, params):
+    return oracle_chain(pk, message, randomness, index, params.proof_size,
+                        params.iterations)[-1]
+
+
+def test_chain_matches_xof_oracle(key_pool, single_params):
     _, pk = key_pool[0]
-    p1 = dataclasses.replace(single_params, iterations=1)
     randomness = derive_randomness(b"\x10" * 32, 3)
-    got = create_proof(pk, b"oracle message", randomness, 3, p1)
-    want = independent_proof_oracle(pk, b"oracle message", randomness, 3, 64)
+    got = create_proof(pk, b"oracle message", randomness, 3, single_params)
+    want = independent_proof_oracle(pk, b"oracle message", randomness, 3, single_params)
     assert got == want
 
 
-def test_single_iteration_matches_xof_oracle_multi(key_pool, multi_params):
+def test_chain_matches_xof_oracle_multi(key_pool, multi_params):
     _, pk = key_pool[1]
-    p1 = dataclasses.replace(multi_params, iterations=1)
     randomness = derive_randomness(b"\x11" * 32, 0)
-    got = create_proof(pk, b"oracle message 96", randomness, 0, p1)
-    want = independent_proof_oracle(pk, b"oracle message 96", randomness, 0, 96)
+    got = create_proof(pk, b"oracle message 96", randomness, 0, multi_params)
+    want = independent_proof_oracle(pk, b"oracle message 96", randomness, 0, multi_params)
     assert got == want
 
 
@@ -141,12 +149,18 @@ def test_domain_isolation():
 
 
 @pytest.mark.parametrize("k", [1, 99, 999])
-def test_iteration_monotonicity(key_pool, single_params, k):
+def test_iteration_monotonicity(key_pool, k):
+    # every step moves the chain, at k and just below each mode's length, and
+    # a proof is the state after exactly `iterations` steps, not one fewer or more
     _, pk = key_pool[9]
     r = derive_randomness(b"\x1a" * 32, 0)
-    pk_k = dataclasses.replace(single_params, iterations=k)
-    pk_k1 = dataclasses.replace(single_params, iterations=k + 1)
-    assert create_proof(pk, b"iter", r, 0, pk_k) != create_proof(pk, b"iter", r, 0, pk_k1)
+    for params in RingParams:
+        n = params.iterations
+        states = oracle_chain(pk, b"iter", r, 0, params.proof_size, max(k, n) + 1)
+        assert states[k - 1] != states[k]
+        proof = create_proof(pk, b"iter", r, 0, params)
+        assert proof == states[n - 1]
+        assert proof not in (states[n - 2], states[n])
 
 
 def test_comparator_is_compare_digest():

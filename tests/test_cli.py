@@ -243,6 +243,22 @@ def test_combine_with_corrupted_partial(workspace):
     assert rc == 4
 
 
+def test_partial_sign_refuses_a_ring_without_the_master_key(workspace, capsys):
+    # combine would blame a sound share as byzantine; partial-sign refuses first
+    tmp_path, _, msg, _ = workspace
+    assert main(["keygen", "--out", str(tmp_path / "carol"), "--seed", SEED2]) == 0
+    assert main(["share", "--sk", str(tmp_path / "alice.sk"), "--threshold", "2",
+                 "--participants", "3", "--out-prefix", str(tmp_path / "alice"),
+                 "--seed", SEED2]) == 0
+    capsys.readouterr()
+    rc = main(["partial-sign", "--share", f"{tmp_path}/alice.share01",
+               "--ring", f"{tmp_path}/bob.pk,{tmp_path}/carol.pk",
+               "--message", str(msg), "--out", f"{tmp_path}/p1.part"])
+    assert rc == 2
+    assert "master public key is not among the ring keys" in capsys.readouterr().err
+    assert not (tmp_path / "p1.part").exists()
+
+
 BENCH_CSV_HEADER = [
     "ring_size", "mode", "threshold", "status", "signature_bytes", "iterations",
     "sign_mean_ms", "sign_std_ms", "sign_median_ms", "sign_p95_ms",

@@ -10,6 +10,7 @@ from chipmunkring import threshold
 from chipmunkring.codec import (
     HEADER_BYTES,
     MODE_MULTI,
+    MODE_PARAMS,
     MODE_SINGLE,
     POLYNOMIAL_BYTES,
     decode_partial,
@@ -36,9 +37,9 @@ from chipmunkring.errors import (
     TruncatedDataError,
 )
 from chipmunkring.hots import ChipmunkSignature, PrivateKey
-from chipmunkring.params import N, Q, preset
+from chipmunkring.params import N, Q, RingParams, preset
 from chipmunkring.polyring import Polynomial
-from chipmunkring.ringsig import MemberEntry, RingSignature
+from chipmunkring.ringsig import MemberEntry, Ring, RingSignature, ring_sign
 from chipmunkring.threshold import KeyShare, PartialSignature
 from polyref import zero
 
@@ -397,6 +398,20 @@ def test_signature_mode_follows_proof_length():
     assert signature_mode(synthetic_signature(2, t=2, proof_size=96)) == MODE_MULTI
     with pytest.raises(FieldError, match="proof length 80 matches no params mode"):
         signature_mode(synthetic_signature(2, proof_size=80))
+
+
+def test_mode_byte_names_one_parameter_set_both_ways(key_pool):
+    # each mode byte maps to its member, and a signature signed under each
+    # member is encoded under, and maps back to, that member's mode byte
+    assert MODE_PARAMS == {MODE_SINGLE: RingParams.SINGLE, MODE_MULTI: RingParams.MULTI}
+    assert set(MODE_PARAMS.values()) == set(RingParams)
+    ring = Ring(members=tuple(pk for _, pk in key_pool[:3]))
+    for mode, params in MODE_PARAMS.items():
+        sig = ring_sign(key_pool[1][0], 1, b"mode byte", ring, b"\x4d" * 32, params)
+        data = encode_signature(sig)
+        assert data[HEADER_BYTES - 1] == mode
+        assert signature_mode(decode_signature(data)) == mode
+        assert MODE_PARAMS[signature_mode(sig)] is params
 
 
 @pytest.mark.parametrize("change, message", [

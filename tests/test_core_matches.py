@@ -106,14 +106,14 @@ def test_wrong_challenge(key_pool, k):
 
 def test_root_values(key_pool):
     pk = key_pool[9][1]
-    values = hots.root_values(pk)
+    values = pk.root_values
     want = ntt_forward((expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs, pk.v1.coeffs))
     assert list(values) == want[:, 0].tolist()
     assert list(values) == eval_at_psi((expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs,
                                         pk.v1.coeffs)).tolist()
     # kept on the key, and decoding the same bytes again returns that key
-    decoded = hots.root_values(codec.decode_public_key(pk.encoded))
-    assert decoded is hots.root_values(codec.decode_public_key(pk.encoded))
+    decoded = codec.decode_public_key(pk.encoded).root_values
+    assert decoded is codec.decode_public_key(pk.encoded).root_values
     assert decoded == values
 
 
@@ -135,7 +135,7 @@ def test_root_values_are_per_key(key_pool, transforms):
     # pickling drops the root values, so these keys have none until the check
     a, b = (pickle.loads(pickle.dumps(key_pool[i][1])) for i in (10, 11))
     a_again = pickle.loads(pickle.dumps(a))
-    assert not any("_root_values" in vars(k) for k in (a, b, a_again))
+    assert not any("root_values" in vars(k) for k in (a, b, a_again))
 
     challenge = rng.randbytes(32)
     sig = hots.sign(key_pool[10][0], challenge)
@@ -144,10 +144,10 @@ def test_root_values_are_per_key(key_pool, transforms):
     # one transform: sigma, H(c) and the one distinct key of the three
     # positions that pass at psi
     assert transforms == [(2 + 3, 512)]
-    assert all("_root_values" in vars(k) for k in (a, b, a_again))
-    assert hots.root_values(a_again) == hots.root_values(a)
-    assert hots.root_values(a) == hots.root_values(key_pool[10][1])
-    assert hots.root_values(b) == hots.root_values(key_pool[11][1])
+    assert all("root_values" in vars(k) for k in (a, b, a_again))
+    assert a_again.root_values == a.root_values
+    assert a.root_values == key_pool[10][1].root_values
+    assert b.root_values == key_pool[11][1].root_values
 
 
 def test_full_check_runs_only_on_keys_that_pass_at_psi(key_pool, transforms):
@@ -178,7 +178,7 @@ def test_repeated_key_gets_one_full_check(key_pool, transforms, monkeypatch):
     # one key listed 64 times: one transform of 2 + 3 rows and one expansion
     # of A in the full check, and the result at every position
     sk, pk = key_pool[13]
-    hots.root_values(pk)  # the root test's own expansion, made beforehand
+    pk.root_values  # the root test's own expansion, made beforehand
     challenge = rng.randbytes(32)
     sig = hots.sign(sk, challenge)
     expansions = []

@@ -21,13 +21,14 @@ def test_preset_multi():
 
 
 def test_preset_unknown_mode():
-    with pytest.raises(ParameterError):
-        preset("enterprise")
+    for mode in ("enterprise", "Single", "SINGLE"):
+        with pytest.raises(ParameterError):
+            preset(mode)
 
 
 def test_presets_are_built_once():
-    assert preset("single") == RingParams(proof_size=64, iterations=100)
     for mode in ("single", "multi"):
+        assert preset(mode) is RingParams[mode.upper()]
         assert preset(mode) is preset(mode)
 
 
@@ -40,8 +41,11 @@ def test_modulus_congruence():
 
 
 def test_fields_are_the_mode_differences():
-    names = [f.name for f in dataclasses.fields(RingParams)]
-    assert names == ["proof_size", "iterations"]
+    # exactly two parameter sets, one per wire mode byte
+    assert [(m.name, m.value) for m in RingParams] == [("SINGLE", (64, 100)),
+                                                       ("MULTI", (96, 1000))]
+    for m in RingParams:
+        assert (m.proof_size, m.iterations) == m.value
 
 
 def test_nonprime_q_rejected():
@@ -68,27 +72,37 @@ def test_fixed_values_are_not_settable(field):
 
 
 def test_bad_proof_size_rejected():
-    with pytest.raises(ParameterError):
+    # the set is closed: a pair that is no member is found nowhere
+    with pytest.raises(TypeError):
         RingParams(proof_size=80)
+    with pytest.raises(ValueError):
+        RingParams((80, 100))
+    with pytest.raises(TypeError):
+        RingParams(80, 100)
 
 
 def test_bad_iterations_rejected():
-    with pytest.raises(ParameterError):
-        RingParams(iterations=0)
-    with pytest.raises(ParameterError):
-        RingParams(iterations=10001)
+    for pair in ((64, 1), (64, 1000), (96, 100), (96, 10000)):
+        with pytest.raises(ValueError):
+            RingParams(pair)
+    with pytest.raises(TypeError):
+        RingParams(proof_size=96, iterations=10000)
 
 
 def test_params_immutable():
     p = preset("single")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        p.iterations = 5
+    for name in ("iterations", "proof_size", "value"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 5)
+    with pytest.raises(AttributeError):
+        RingParams.SINGLE = RingParams.MULTI
+    assert (p.proof_size, p.iterations) == (64, 100)
 
 
-def test_iterations_configurable_via_replace():
-    p = dataclasses.replace(preset("multi"), iterations=10000)
-    assert p.iterations == 10000
-    assert p.proof_size == 96
+def test_replace_is_refused():
+    with pytest.raises(TypeError):
+        dataclasses.replace(preset("multi"), iterations=10000)
+    assert preset("multi").iterations == 1000
 
 
 def test_domain_tags_byte_exact():

@@ -258,8 +258,8 @@ def test_root_values_are_computed_once(key_pool, monkeypatch):
         return real(seed)
 
     monkeypatch.setattr(hots, "expand_matrix", counted)
-    values = hots.root_values(pk)
-    assert hots.root_values(pk) is values
+    values = pk.root_values
+    assert pk.root_values is values
     assert expanded == [pk.rho_seed]  # one key at a time, once
     assert type(values) is tuple and len(values) == 3
     assert all(type(v) is int and 0 <= v < Q for v in values)
@@ -272,20 +272,21 @@ def test_root_values_are_not_part_of_the_key(key_pool):
     pk = PublicKey(rho_seed=src.rho_seed, v0=src.v0, v1=src.v1)
     assert [f.name for f in dataclasses.fields(pk)] == ["rho_seed", "v0", "v1"]
     before = (repr(pk), hash(pk), pickle.dumps(pk))
-    values = hots.root_values(pk)
+    values = pk.root_values
     assert (repr(pk), hash(pk), pickle.dumps(pk)) == before
     assert pk == src
-    for copied in (pickle.loads(pickle.dumps(pk)), copy.deepcopy(pk)):
+    for copied in (pickle.loads(pickle.dumps(pk)), copy.deepcopy(pk),
+                   dataclasses.replace(pk)):
         assert copied is not pk
         assert copied == pk and hash(copied) == hash(pk)
-        assert "_root_values" not in vars(copied)
-        assert hots.root_values(copied) == values
+        assert "root_values" not in vars(copied)
+        assert copied.root_values == values
 
 
 def test_keygen_keys_compute_root_values_only_for_a_core_check(key_pool, single_params):
     sk, pk = hots.keygen(b"\x5b" * 32, single_params)
     ring = Ring(members=(pk,) + tuple(p for _, p in key_pool[:3]))
     sig = ring_sign(sk, 0, b"m", ring, b"\x01" * 32, single_params)
-    assert "_root_values" not in vars(pk)
+    assert "root_values" not in vars(pk)
     assert core_matches(sig, ring) == [0]
-    assert "_root_values" in vars(pk)
+    assert "root_values" in vars(pk)
