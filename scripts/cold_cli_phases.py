@@ -83,6 +83,8 @@ class Tree:
 
     def run(self, command: str, record: bool = True):
         marks = self.work / "marks"
+        if command == "sign":  # sign refuses to overwrite its --out
+            (self.work / "sig").unlink(missing_ok=True)
         t_spawn = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", CHILD, str(marks), *self.argv[command]],
                               cwd=self.work, env=self.env, stdout=subprocess.DEVNULL)

@@ -2,9 +2,9 @@
 files, and a benchmark harness.
 
 Exit codes: 0 accept, 1 cryptographic reject, 2 structural/parse/usage
-failure, 3 I/O failure, 4 byzantine share detected. keygen and share
-never overwrite a file (exit 3); their secret files (.sk, .shareNN) are
-created with mode 0600.
+failure, 3 I/O failure, 4 byzantine share detected. No command
+overwrites a file it writes (exit 3); the secret files of keygen and
+share (.sk, .shareNN) are created with mode 0600.
 """
 
 import argparse
@@ -33,11 +33,6 @@ DEFAULT_THRESHOLD_CONFIGS = "2/4,3/8,5/8,4/16,16/32"
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def _write(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
 
 
 def _refuse_existing(paths) -> None:
@@ -96,7 +91,7 @@ def cmd_sign(args) -> int:
     entropy = _seed_bytes(args.seed, "entropy")
     sig = ringsig.ring_sign(sk, signer_index, message, ring, entropy, params)
     blob = codec.encode_signature(sig)
-    _write(args.out, blob)
+    _write_new(args.out, blob, 0o666)
     print(f"wrote {args.out} ({len(blob)} bytes, ring of {ring.size})")
     return EXIT_OK
 
@@ -138,7 +133,7 @@ def cmd_partial_sign(args) -> int:
     params = preset("multi")
     challenge, _ = threshold.threshold_challenge(message, ring, params)
     partial = threshold.partial_sign(share, challenge, params)
-    _write(args.out, codec.encode_partial(partial))
+    _write_new(args.out, codec.encode_partial(partial), 0o666)
     print(f"wrote {args.out} (participant {share.participant_x})")
     return EXIT_OK
 
@@ -150,7 +145,7 @@ def cmd_combine(args) -> int:
     message = _read(args.message)
     params = preset("multi")
     sig = threshold.combine(partials, message, ring, args.threshold, params)
-    _write(args.out, codec.encode_signature(sig))
+    _write_new(args.out, codec.encode_signature(sig), 0o666)
     print(f"wrote {args.out} (combined {args.threshold} partial signatures)")
     return EXIT_OK
 

@@ -47,6 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import hots, ringsig, threshold
 from .errors import (
     BadKindError,
     BadMagicError,
@@ -200,8 +201,6 @@ def _decode_public_key(data: bytes):
     Only successful decodes are stored; hostile bytes raise the same error
     on every call.
     """
-    from .hots import PublicKey
-
     r = _Reader(data)
     mode = _read_header(r, KIND_PUBLIC_KEY)
     rho_seed = r.take(32)
@@ -213,7 +212,7 @@ def _decode_public_key(data: bytes):
     encoded = data
     if mode != MODE_SINGLE:
         encoded = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + data[HEADER_BYTES:]
-    return PublicKey(rho_seed=rho_seed, v0=v0, v1=v1, decoded_from=encoded)
+    return hots.PublicKey(rho_seed=rho_seed, v0=v0, v1=v1, decoded_from=encoded)
 
 
 def encode_private_key(sk) -> bytes:
@@ -230,8 +229,6 @@ def encode_private_key(sk) -> bytes:
 
 
 def decode_private_key(data: bytes):
-    from .hots import PrivateKey
-
     r = _Reader(data)
     _read_header(r, KIND_PRIVATE_KEY)
     seed = r.take(32)
@@ -239,7 +236,7 @@ def decode_private_key(data: bytes):
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     pk = decode_public_key(r.take(len(r.data) - r.pos))
-    sk = PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk)
+    sk = hots.PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk)
     if tr != sk.tr:
         raise FieldError("tr digest does not match the embedded public key")
     return sk
@@ -292,9 +289,6 @@ def encode_signature(sig) -> bytes:
 
 
 def decode_signature(data: bytes):
-    from .hots import ChipmunkSignature
-    from .ringsig import MemberEntry, RingSignature
-
     r = _Reader(data)
     mode = _read_header(r, KIND_RING_SIGNATURE)
     p = MODE_PARAMS[mode].proof_size
@@ -302,7 +296,7 @@ def decode_signature(data: bytes):
     _check_signature_counts(ring_size, required)
     challenge = r.take(32)
     # arguments are evaluated left to right: randomness, proof, linkability
-    entries = tuple(MemberEntry(r.take(32), r.take(p), r.take(32))
+    entries = tuple(ringsig.MemberEntry(r.take(32), r.take(p), r.take(32))
                     for _ in range(ring_size))
     sigma = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     block_len = r.u32()
@@ -311,11 +305,11 @@ def decode_signature(data: bytes):
         raise FieldError(f"threshold block length {block_len}, expected {expected}")
     block = r.take(block_len)
     r.expect_end()
-    return RingSignature(
+    return ringsig.RingSignature(
         required_signers=required,
         challenge=challenge,
         per_member=entries,
-        chipmunk_sig=ChipmunkSignature(sigma=sigma),
+        chipmunk_sig=hots.ChipmunkSignature(sigma=sigma),
         threshold_zk_proofs=block,
     )
 
@@ -339,8 +333,6 @@ def encode_share(share) -> bytes:
 
 
 def decode_share(data: bytes):
-    from .threshold import KeyShare
-
     r = _Reader(data)
     _read_header(r, KIND_KEY_SHARE)
     x, t, n_participants = struct.unpack("<HHH", r.take(6))
@@ -348,7 +340,7 @@ def decode_share(data: bytes):
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     pk = decode_public_key(r.take(len(r.data) - r.pos))
-    return KeyShare(
+    return threshold.KeyShare(
         participant_x=x,
         s0_share=s0,
         s1_share=s1,
@@ -376,8 +368,6 @@ def encode_partial(partial) -> bytes:
 
 
 def decode_partial(data: bytes):
-    from .threshold import PartialSignature
-
     r = _Reader(data)
     mode = _read_header(r, KIND_PARTIAL_SIGNATURE)
     x, proof_len = struct.unpack("<HH", r.take(4))
@@ -385,4 +375,4 @@ def decode_partial(data: bytes):
     sigma = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     proof = r.take(proof_len)
     r.expect_end()
-    return PartialSignature(participant_x=x, sigma_share=sigma, acorn_proof=proof)
+    return threshold.PartialSignature(participant_x=x, sigma_share=sigma, acorn_proof=proof)

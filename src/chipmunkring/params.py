@@ -42,17 +42,6 @@ DOMAIN_MATRIX = b"CHIPMUNK_RING_MATRIX_V1"
 DOMAIN_HASH_TO_POLY = b"CHIPMUNK_RING_H2P_V1"
 ZK_DOMAIN_SECRET_SHARING = b"CHIPMUNK_RING_ZK_SECRET_SHARING_V1"
 
-ALL_DOMAIN_TAGS = (
-    DOMAIN_ACORN_RANDOMNESS,
-    DOMAIN_ACORN_COMMITMENT,
-    DOMAIN_ACORN_LINKABILITY,
-    DOMAIN_SIGNATURE_ZK,
-    DOMAIN_COORDINATION,
-    DOMAIN_MATRIX,
-    DOMAIN_HASH_TO_POLY,
-    ZK_DOMAIN_SECRET_SHARING,
-)
-
 
 class RingParams(Enum):
     """The two parameter sets, one per wire mode byte; no other can be built.

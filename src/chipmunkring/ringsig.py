@@ -92,12 +92,18 @@ class RingSignature:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Accept/reject with a diagnostic class; no signer index."""
+    """Accept/reject with a diagnostic class; no signer index.
 
-    ok: bool
+    The verdict is the reason: a report accepts exactly when it is "ok".
+    """
+
     reason: str  # ok | structural | challenge | acorn | linkability | core
     #            | threshold_size | threshold_acorn
     detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.reason == "ok"
 
 
 def ring_hash(ring: Ring) -> bytes:
@@ -233,11 +239,11 @@ def _verify_report(sig: RingSignature, message: bytes, ring: Ring,
     """
     problem = check_structure(sig, ring, params)
     if problem:
-        return VerifyReport(False, "structural", problem)
+        return VerifyReport("structural", problem)
     rhash = ring_hash(ring)
     pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
     if challenge_digest(message, rhash, pairs) != sig.challenge:
-        return VerifyReport(False, "challenge", "challenge mismatch")
+        return VerifyReport("challenge", "challenge mismatch")
     t, p, block = sig.required_signers, params.proof_size, sig.threshold_zk_proofs
     if t == 1:
         # any() stops at the first valid proof; see the module docstring
@@ -245,15 +251,15 @@ def _verify_report(sig: RingSignature, message: bytes, ring: Ring,
             verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params)
             for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member))
         ):
-            return VerifyReport(False, "acorn", "no valid per-member proof")
+            return VerifyReport("acorn", "no valid per-member proof")
     elif len(block) != t * p:
-        return VerifyReport(False, "threshold_size",
+        return VerifyReport("threshold_size",
                             f"threshold block is {len(block)} bytes, expected {t * p}")
     if not check_linkability(sig, message, rhash):
-        return VerifyReport(False, "linkability", "linkability tag mismatch")
+        return VerifyReport("linkability", "linkability tag mismatch")
     masters = core_matches(sig, ring)
     if not masters:
-        return VerifyReport(False, "core", "core signature matches no ring key")
+        return VerifyReport("core", "core signature matches no ring key")
     if t > 1:
         pk = ring.members[masters[0]]
         # the proofs, in order, must carry ascending x: one pass over the x values
@@ -261,16 +267,16 @@ def _verify_report(sig: RingSignature, message: bytes, ring: Ring,
         if not all(any(constant_time_eq(block[i * p:(i + 1) * p],
                                         share_proof(pk, sig.challenge, x, params))
                        for x in xs) for i in range(t)):
-            return VerifyReport(False, "threshold_acorn",
+            return VerifyReport("threshold_acorn",
                                 "embedded participant proofs do not verify")
-    return VerifyReport(True, "ok")
+    return VerifyReport("ok")
 
 
 def ring_verify_report(sig: RingSignature, message: bytes, ring: Ring,
                        params: RingParams) -> VerifyReport:
     """Verify a single-signer ring signature with a diagnostic reason."""
     if sig.required_signers != 1:
-        return VerifyReport(False, "structural", "required_signers != 1")
+        return VerifyReport("structural", "required_signers != 1")
     return _verify_report(sig, message, ring, params)
 
 
@@ -278,7 +284,7 @@ def threshold_verify_report(sig: RingSignature, message: bytes, ring: Ring,
                             params: RingParams) -> VerifyReport:
     """Verify a threshold (t > 1) ring signature with a diagnostic reason."""
     if sig.required_signers <= 1:
-        return VerifyReport(False, "structural", "required_signers must exceed 1")
+        return VerifyReport("structural", "required_signers must exceed 1")
     return _verify_report(sig, message, ring, params)
 
 

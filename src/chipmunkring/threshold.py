@@ -22,7 +22,7 @@ modes.
 
 import hashlib
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -206,9 +206,13 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     each product is below 2^44, and a sum of MAX_PARTICIPANTS = 64 of them
     is below 2^50; int64 overflows only past 2^19 of them.
 
-    Raises ByzantineShareError when the combined signature fails core
-    verification under every ring key, or when a partial's commitment
-    does not match its recomputation; both signal a corrupted share.
+    When the combined signature verifies under no ring key, the first
+    partial's proof is recomputed under each distinct ring key on this
+    challenge. If one key reproduces it, the partials belong to this
+    session and a signature share is corrupt: ByzantineShareError. If none
+    does, the partials were made on another message or ring (or that proof
+    is corrupt): ThresholdError. A partial whose commitment does not match
+    its recomputation under the matching key raises ByzantineShareError.
     """
     parts = sorted(partials, key=lambda p: p.participant_x)
     if len(parts) != t:
@@ -216,11 +220,20 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     lag = lagrange_at_zero([p.participant_x for p in parts])
     challenge, entries = threshold_challenge(message, ring, params)
     sigma = np.array(lag) @ np.stack([p.sigma_share.coeffs for p in parts]) % Q
+    block = b"".join(p.acorn_proof for p in parts) if t > 1 else b""
     sig = RingSignature(t, challenge, entries,
-                        hots.ChipmunkSignature(sigma=Polynomial(coeffs=sigma)), b"")
+                        hots.ChipmunkSignature(sigma=Polynomial(coeffs=sigma)), block)
 
     masters = core_matches(sig, ring)
     if not masters:
+        first = parts[0]
+        if not any(constant_time_eq(first.acorn_proof,
+                                    share_proof(pk, challenge, first.participant_x, params))
+                   for pk in dict.fromkeys(ring.members)):
+            raise ThresholdError(
+                "the partials were made on another message or ring, or participant "
+                f"{first.participant_x}'s proof is corrupt"
+            )
         raise ByzantineShareError(
             "combined signature verifies under no ring key; a share is corrupt"
         )
@@ -231,6 +244,4 @@ def combine(partials, message: bytes, ring: Ring, t: int,
             raise ByzantineShareError(
                 f"commitment from participant {part.participant_x} is corrupt"
             )
-    if t == 1:
-        return sig
-    return replace(sig, threshold_zk_proofs=b"".join(p.acorn_proof for p in parts))
+    return sig

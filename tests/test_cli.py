@@ -243,6 +243,46 @@ def test_combine_with_corrupted_partial(workspace):
     assert rc == 4
 
 
+# partials made on ring (alice, bob) and message.bin, combined on another
+@pytest.mark.parametrize("ring_names, message", [
+    (("bob", "carol"), b"cli test message"),  # another ring, without the master key
+    (("alice", "bob", "carol"), b"cli test message"),  # a superset of the ring
+    (("alice", "bob"), b"another message"),
+], ids=["other-ring", "superset-ring", "other-message"])
+def test_combine_names_a_wrong_ring_or_message(workspace, capsys, ring_names, message):
+    tmp_path, ring, msg, _ = workspace
+    assert main(["keygen", "--out", str(tmp_path / "carol"), "--seed", SEED2]) == 0
+    assert main(["share", "--sk", str(tmp_path / "alice.sk"), "--threshold", "2",
+                 "--participants", "3", "--out-prefix", str(tmp_path / "alice"),
+                 "--seed", SEED2]) == 0
+    for x in (1, 2):
+        assert main(["partial-sign", "--share", f"{tmp_path}/alice.share{x:02d}",
+                     "--ring", ring, "--message", str(msg),
+                     "--out", f"{tmp_path}/p{x}.part"]) == 0
+    msg.write_bytes(message)
+    capsys.readouterr()
+    rc = main(["combine", "--partials", f"{tmp_path}/p1.part,{tmp_path}/p2.part",
+               "--ring", ",".join(f"{tmp_path}/{name}.pk" for name in ring_names),
+               "--message", str(msg), "--threshold", "2",
+               "--out", str(tmp_path / "t.sig")])
+    assert rc == 2
+    assert ("error: the partials were made on another message or ring, "
+            "or participant 1's proof is corrupt") in capsys.readouterr().err
+    assert not (tmp_path / "t.sig").exists()
+
+
+def test_sign_never_overwrites(workspace, capsys):
+    tmp_path, ring, msg, _ = workspace
+    before = contents(tmp_path)
+    capsys.readouterr()
+    rc = main(["sign", "--sk", str(tmp_path / "alice.sk"), "--ring", ring,
+               "--message", str(msg), "--out", str(tmp_path / "alice.sk"),
+               "--seed", SEED1])
+    assert rc == 3
+    assert "File exists" in capsys.readouterr().err
+    assert contents(tmp_path) == before
+
+
 def test_partial_sign_refuses_a_ring_without_the_master_key(workspace, capsys):
     # combine would blame a sound share as byzantine; partial-sign refuses first
     tmp_path, _, msg, _ = workspace

@@ -3,9 +3,8 @@ has a use.
 
 A name is used when some module under src/chipmunkring reads it or names
 it as an attribute, or when perfbench/tracing.py's TARGETS table names it,
-since the traced benchmark looks those up. Its own definition, a tag's
-entry in ALL_DOMAIN_TAGS, and an import are not uses: a name that a module
-only imports, or re-exports, has no caller there. The package root imports
+since the traced benchmark looks those up. Its own definition and an
+import are not uses: a name that a module only imports, or re-exports, has no caller there. The package root imports
 only modules (tests/test_package_root.py keeps it that way). A helper that
 only tests need belongs under tests/.
 
@@ -14,7 +13,8 @@ read, so an argument a function ignores cannot linger in its signature.
 The exceptions are fixtures a test requests for their side effects.
 
 No module imports or reaches into another's private name: a decision two
-modules share belongs behind one public name.
+modules share belongs behind one public name. No function imports a
+sibling module: each module names its imports once, at module level.
 """
 
 import ast
@@ -46,16 +46,10 @@ def definitions():
 
 
 class References(ast.NodeVisitor):
-    """Every name read or attribute named, outside the ALL_DOMAIN_TAGS
-    listing. Importing a name is not a use of it."""
+    """Every name read or attribute named. Importing a name is not a use of it."""
 
     def __init__(self):
         self.names = set()
-
-    def visit_Assign(self, node):
-        if not any(isinstance(t, ast.Name) and t.id == "ALL_DOMAIN_TAGS"
-                   for t in node.targets):
-            self.generic_visit(node)
 
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load):
@@ -85,6 +79,16 @@ def test_no_private_name_crosses_modules():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names if alias.name.startswith("_")]
     assert crossing == []
+
+
+def test_no_relative_import_inside_a_function():
+    nested = [f"{module}.{node.name}: from .{imp.module or ''} import ..."
+              for module, tree in modules()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for imp in ast.walk(node)
+              if isinstance(imp, ast.ImportFrom) and imp.level > 0]
+    assert nested == []
 
 
 def test_every_parameter_is_read():

@@ -105,16 +105,29 @@ def test_replace_is_refused():
     assert preset("multi").iterations == 1000
 
 
+def domain_tags() -> dict:
+    """Every domain-separation tag in params, by name."""
+    return {name: value for name, value in vars(params).items()
+            if name.startswith(("DOMAIN_", "ZK_DOMAIN_"))}
+
+
 def test_domain_tags_byte_exact():
-    assert params.DOMAIN_ACORN_RANDOMNESS == b"ACORN_RANDOMNESS_V1"
-    assert params.DOMAIN_ACORN_COMMITMENT == b"ACORN_COMMITMENT_V1"
-    assert params.DOMAIN_ACORN_LINKABILITY == b"ACORN_LINKABILITY_V1"
-    assert params.DOMAIN_SIGNATURE_ZK == b"ChipmunkRing-Signature-ZK"
-    assert params.DOMAIN_COORDINATION == b"ChipmunkRing-Coordination"
+    assert domain_tags() == {
+        "DOMAIN_ACORN_RANDOMNESS": b"ACORN_RANDOMNESS_V1",
+        "DOMAIN_ACORN_COMMITMENT": b"ACORN_COMMITMENT_V1",
+        "DOMAIN_ACORN_LINKABILITY": b"ACORN_LINKABILITY_V1",
+        "DOMAIN_SIGNATURE_ZK": b"ChipmunkRing-Signature-ZK",
+        "DOMAIN_COORDINATION": b"ChipmunkRing-Coordination",
+        "DOMAIN_MATRIX": b"CHIPMUNK_RING_MATRIX_V1",
+        "DOMAIN_HASH_TO_POLY": b"CHIPMUNK_RING_H2P_V1",
+        "ZK_DOMAIN_SECRET_SHARING": b"CHIPMUNK_RING_ZK_SECRET_SHARING_V1",
+    }
 
 
 def test_domain_tags_pairwise_distinct():
-    assert len(set(params.ALL_DOMAIN_TAGS)) == len(params.ALL_DOMAIN_TAGS)
+    tags = list(domain_tags().values())
+    assert len(tags) == 8
+    assert len(set(tags)) == len(tags)
 
 
 def test_norm_bound_value():

@@ -170,8 +170,16 @@ def test_verify_no_index_leak(key_pool, single_params):
     ring = make_ring(key_pool, 4)
     sig = ring_sign(key_pool[3][0], 3, MSG, ring, ENTROPY, single_params)
     report = ring_verify_report(sig, MSG, ring, single_params)
-    assert report == ringsig.VerifyReport(True, "ok")
-    assert set(dataclasses.asdict(report)) == {"ok", "reason", "detail"}
+    assert report == ringsig.VerifyReport("ok")
+    assert set(dataclasses.asdict(report)) == {"reason", "detail"}
+
+
+def test_verify_report_verdict_is_its_reason():
+    # ok is derived, so a report cannot accept with a reject reason or reject "ok"
+    assert ringsig.VerifyReport("ok").ok
+    assert not ringsig.VerifyReport("core", "core signature matches no ring key").ok
+    with pytest.raises(TypeError):
+        ringsig.VerifyReport(True, "core", "")
 
 
 def test_multi_mode_single_signer(key_pool, multi_params):
@@ -375,4 +383,4 @@ def test_structure_names_the_short_field(key_pool, single_params, field, detail)
         entries[2] = dataclasses.replace(entries[2], **{field: short})
         bad = dataclasses.replace(sig, per_member=tuple(entries))
     report = ring_verify_report(bad, MSG, ring, single_params)
-    assert report == ringsig.VerifyReport(False, "structural", detail)
+    assert report == ringsig.VerifyReport("structural", detail)

@@ -414,7 +414,7 @@ def test_byzantine_sigma_detected(key_pool, multi_params):
     coeffs = list(other.sigma_share.coeffs)
     coeffs[17] = (coeffs[17] + 1) % Q
     evil = dataclasses.replace(other, sigma_share=Polynomial(coeffs=tuple(coeffs)))
-    with pytest.raises(ByzantineShareError):
+    with pytest.raises(ByzantineShareError, match="verifies under no ring key"):
         combine([good, evil], MSG, ring, 2, multi_params)
 
 
@@ -429,6 +429,25 @@ def test_byzantine_proof_detected(key_pool, multi_params):
     evil = dataclasses.replace(other, acorn_proof=bytes(proof))
     with pytest.raises(ByzantineShareError):
         combine([good, evil], MSG, ring, 2, multi_params)
+
+
+# partials made on ring (0, 1) and MSG, combined on another ring or message
+@pytest.mark.parametrize("members, message", [
+    ((1, 2), MSG),  # another ring, without the master key
+    ((0, 1, 2), MSG),  # a superset ring that still holds the master key
+    ((0, 1), b"another message"),
+], ids=["other-ring", "superset-ring", "other-message"])
+def test_combine_names_a_wrong_ring_or_message(key_pool, multi_params, members,
+                                               message):
+    shares = deal_shares(key_pool[0][0], 2, 3, b"\x71" * 32)
+    challenge, _ = threshold_challenge(MSG, make_ring(key_pool, 2), multi_params)
+    partials = [partial_sign(share, challenge, multi_params) for share in shares[:2]]
+    ring = Ring(members=tuple(key_pool[i][1] for i in members))
+    with pytest.raises(ThresholdError) as info:
+        combine(partials, message, ring, 2, multi_params)
+    assert type(info.value) is ThresholdError
+    assert str(info.value) == ("the partials were made on another message or ring, "
+                               "or participant 1's proof is corrupt")
 
 
 def test_verify_rejects_truncated_block(key_pool, multi_params):
@@ -490,7 +509,7 @@ def test_threshold_verifier_does_not_check_member_proofs(key_pool, multi_params)
                         per_member=entries,
                         chipmunk_sig=hots.sign(master_sk, challenge),
                         threshold_zk_proofs=block)
-    assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport(True, "ok")
+    assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport("ok")
     single = dataclasses.replace(sig, required_signers=1, threshold_zk_proofs=b"")
     report = verify_signature_report(single, MSG, ring, multi_params)
     assert (report.ok, report.reason) == (False, "acorn")
@@ -545,7 +564,7 @@ def test_rebinding_is_bounded_on_clone_key_rings(key_pool, multi_params, monkeyp
     sig = combine(partials, MSG, ring, 2, multi_params)
     assert core_matches(sig, ring) == list(range(1, 9))
     # combine binds the block to the first clone, and the verifier accepts it
-    assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport(True, "ok")
+    assert threshold_verify_report(sig, MSG, ring, multi_params) == VerifyReport("ok")
 
     # the same points bound to the second clone: combine never builds this,
     # and the verifier rebinds only to the first matching key

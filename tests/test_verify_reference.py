@@ -49,33 +49,33 @@ ENTROPY = b"\x6b" * 32
 
 def reference_verify_report(sig, message, ring, params):
     if sig.required_signers != 1:
-        return VerifyReport(False, "structural", "required_signers != 1")
+        return VerifyReport("structural", "required_signers != 1")
     problem = ringsig.check_structure(sig, ring, params)
     if not problem and sig.threshold_zk_proofs != b"":
         problem = "unexpected threshold block"
     if problem:
-        return VerifyReport(False, "structural", problem)
+        return VerifyReport("structural", problem)
     rhash = ring_hash(ring)
     pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
     if ringsig.challenge_digest(message, rhash, pairs) != sig.challenge:
-        return VerifyReport(False, "challenge", "challenge mismatch")
+        return VerifyReport("challenge", "challenge mismatch")
     valid = 0
     for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member)):
         if acorn.verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params):
             valid += 1
     if valid < 1:
-        return VerifyReport(False, "acorn", "no valid per-member proof")
+        return VerifyReport("acorn", "no valid per-member proof")
     tag = acorn.linkability_tag(rhash, message, sig.challenge)
     ok = True
     for entry in sig.per_member:
         ok &= entry.linkability == tag
     if not ok:
-        return VerifyReport(False, "linkability", "linkability tag mismatch")
+        return VerifyReport("linkability", "linkability tag mismatch")
     matches = [j for j, pk in enumerate(ring.members)
                if hots.verify(pk, sig.challenge, sig.chipmunk_sig)]
     if not matches:
-        return VerifyReport(False, "core", "core signature matches no ring key")
-    return VerifyReport(True, "ok")
+        return VerifyReport("core", "core signature matches no ring key")
+    return VerifyReport("ok")
 
 
 def assert_same(sig, message, ring, params):
@@ -228,26 +228,26 @@ def participant_proof(pk, challenge, x, params):
 
 def reference_threshold_report(sig, message, ring, params):
     if sig.required_signers <= 1:
-        return VerifyReport(False, "structural", "required_signers must exceed 1")
+        return VerifyReport("structural", "required_signers must exceed 1")
     problem = ringsig.check_structure(sig, ring, params)
     if problem:
-        return VerifyReport(False, "structural", problem)
+        return VerifyReport("structural", problem)
     rhash = ring_hash(ring)
     pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
     if ringsig.challenge_digest(message, rhash, pairs) != sig.challenge:
-        return VerifyReport(False, "challenge", "challenge mismatch")
+        return VerifyReport("challenge", "challenge mismatch")
     t, p = sig.required_signers, params.proof_size
     block = sig.threshold_zk_proofs
     if len(block) != t * p:
-        return VerifyReport(False, "threshold_size",
+        return VerifyReport("threshold_size",
                             f"threshold block is {len(block)} bytes, expected {t * p}")
     tag = acorn.linkability_tag(rhash, message, sig.challenge)
     if any(entry.linkability != tag for entry in sig.per_member):
-        return VerifyReport(False, "linkability", "linkability tag mismatch")
+        return VerifyReport("linkability", "linkability tag mismatch")
     matches = [j for j, pk in enumerate(ring.members)
                if hots.verify(pk, sig.challenge, sig.chipmunk_sig)]
     if not matches:
-        return VerifyReport(False, "core", "core signature matches no ring key")
+        return VerifyReport("core", "core signature matches no ring key")
     pk = ring.members[matches[0]]
     found = [[x for x in range(1, MAX_PARTICIPANTS + 1)
               if participant_proof(pk, sig.challenge, x, params) == block[i * p:(i + 1) * p]]
@@ -261,9 +261,9 @@ def reference_threshold_report(sig, message, ring, params):
         else:
             rebound = False
     if not rebound:
-        return VerifyReport(False, "threshold_acorn",
+        return VerifyReport("threshold_acorn",
                             "embedded participant proofs do not verify")
-    return VerifyReport(True, "ok")
+    return VerifyReport("ok")
 
 
 def assert_same_threshold(sig, message, ring, params):
