@@ -26,7 +26,7 @@ tr is SHA3-384 of the encoded pk, and the ring size is the number of
 member records. Unknown version or kind is rejected, never skipped.
 decode(encode(x)) == x for every object kind, and every encoder raises
 FieldError where its decoder would refuse the bytes: a count or a field
-length out of range.
+length out of range, a signature's through ringsig.signature_shape.
 
 A public key carries its canonical bytes: keygen and the key constructor
 compute them once, decode_public_key keeps the bytes it read (with the
@@ -263,28 +263,20 @@ def encode_signature(sig) -> bytes:
     t = sig.required_signers
     _check_signature_counts(len(sig.per_member), t)
     mode = signature_mode(sig)
-    p = MODE_PARAMS[mode].proof_size
-    block = sig.threshold_zk_proofs
-    if t == 1 and block != b"":
-        raise FieldError("single-signer signature carries a threshold block")
-    if t > 1 and len(block) != t * p:
-        raise FieldError(f"threshold block must be {t * p} bytes, got {len(block)}")
-    if len(sig.challenge) != 32:
-        raise FieldError(f"challenge must be 32 bytes, got {len(sig.challenge)}")
+    problem = ringsig.signature_shape(sig, MODE_PARAMS[mode].proof_size)
+    if problem:
+        raise FieldError(problem)
     out = bytearray()
     out += pack_header(KIND_RING_SIGNATURE, mode)
     out += struct.pack("<HH", len(sig.per_member), t)
     out += sig.challenge
     for entry in sig.per_member:
-        rand, proof, tag = entry.randomness, entry.acorn_proof, entry.linkability
-        if len(rand) != 32 or len(proof) != p or len(tag) != 32:
-            raise FieldError(f"member record fields must be 32, {p} and 32 bytes")
-        out += rand
-        out += proof
-        out += tag
+        out += entry.randomness
+        out += entry.acorn_proof
+        out += entry.linkability
     out += encode_polynomial(sig.chipmunk_sig.sigma)
-    out += struct.pack("<I", len(block))
-    out += block
+    out += struct.pack("<I", len(sig.threshold_zk_proofs))
+    out += sig.threshold_zk_proofs
     return bytes(out)
 
 

@@ -4,7 +4,7 @@ Signing builds one commitment per ring member from public data plus
 caller-supplied entropy, hashes everything into a 32-byte challenge, and
 signs the challenge with the signer's core key. Verification runs one
 sequence of stages for both modes (_verify_report): structure, challenge,
-the mode's own step, linkability tags, and the core signature, which must
+the t = 1 Acorn scan, linkability tags, and the core signature, which must
 verify under at least one ring key; threshold mode then rebinds its block.
 Which key verified is never exposed by the API.
 
@@ -98,7 +98,7 @@ class VerifyReport:
     """
 
     reason: str  # ok | structural | challenge | acorn | linkability | core
-    #            | threshold_size | threshold_acorn
+    #            | threshold_acorn
     detail: str = ""
 
     @property
@@ -173,23 +173,30 @@ def ring_sign(sk: hots.PrivateKey, signer_index: int, message: bytes, ring: Ring
     )
 
 
-def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
-    """Shape checks of both modes; '' when clean."""
-    if len(sig.per_member) != ring.size:
-        return f"ring_size {len(sig.per_member)} != ring of {ring.size}"
+def signature_shape(sig: RingSignature, proof_size: int) -> str:
+    """The first length fault of sig's fields, '' when clean: the one statement
+    of the length rules, shared by check_structure and codec.encode_signature."""
     if len(sig.challenge) != DIGEST_SIZE:
         return "challenge length mismatch"
-    size = params.proof_size
     for i, entry in enumerate(sig.per_member):
         if len(entry.randomness) != DIGEST_SIZE:
             return f"randomness length mismatch at member {i}"
-        if len(entry.acorn_proof) != size:
+        if len(entry.acorn_proof) != proof_size:
             return f"proof length mismatch at member {i}"
         if len(entry.linkability) != DIGEST_SIZE:
             return f"linkability tag length mismatch at member {i}"
-    if sig.required_signers == 1 and sig.threshold_zk_proofs != b"":
-        return "unexpected threshold block"
+    t, block = sig.required_signers, sig.threshold_zk_proofs
+    expected = 0 if t == 1 else t * proof_size
+    if len(block) != expected:
+        return f"threshold block is {len(block)} bytes, expected {expected}"
     return ""
+
+
+def check_structure(sig: RingSignature, ring: Ring, params: RingParams) -> str:
+    """The record count against the ring, then signature_shape; '' when clean."""
+    if len(sig.per_member) != ring.size:
+        return f"ring_size {len(sig.per_member)} != ring of {ring.size}"
+    return signature_shape(sig, params.proof_size)
 
 
 def check_linkability(sig: RingSignature, message: bytes, rhash: bytes) -> bool:
@@ -219,15 +226,15 @@ def _verify_report(sig: RingSignature, message: bytes, ring: Ring,
                    params: RingParams) -> VerifyReport:
     """The verification stages of both modes, in order, after the mode guard.
 
-    The modes differ in two places. Single mode (t = 1) checks the
+    check_structure refuses every length fault, and at t = 1 an empty
+    message, which no chain accepts. Single mode (t = 1) then checks the
     per-member Acorn proofs before linkability. Threshold mode (t > 1)
     never checks them: the per-member records are bound only through the
     challenge, and the t participant proofs of the threshold block stand
     in for them. So records with no Acorn chain behind them, under a
     correct challenge, core signature and block, are accepted with t > 1,
     while the same records with t = 1 are rejected with reason "acorn".
-    Threshold mode checks the block size in that place instead, and
-    rebinds the block after the core check.
+    Threshold mode rebinds the block after the core check.
 
     The block is rebound only to the first core-matching ring key, the key
     combine binds it to, so one verification costs at most MAX_PARTICIPANTS
@@ -237,31 +244,29 @@ def _verify_report(sig: RingSignature, message: bytes, ring: Ring,
     core signature; a block bound to any matching key but the first is
     rejected with "threshold_acorn". combine never produces one.
     """
+    t = sig.required_signers
     problem = check_structure(sig, ring, params)
+    if not problem and t == 1 and not message:
+        problem = "empty message"
     if problem:
         return VerifyReport("structural", problem)
     rhash = ring_hash(ring)
     pairs = ((e.randomness, e.acorn_proof) for e in sig.per_member)
     if challenge_digest(message, rhash, pairs) != sig.challenge:
         return VerifyReport("challenge", "challenge mismatch")
-    t, p, block = sig.required_signers, params.proof_size, sig.threshold_zk_proofs
-    if t == 1:
-        # any() stops at the first valid proof; see the module docstring
-        if not any(
-            verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params)
-            for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member))
-        ):
-            return VerifyReport("acorn", "no valid per-member proof")
-    elif len(block) != t * p:
-        return VerifyReport("threshold_size",
-                            f"threshold block is {len(block)} bytes, expected {t * p}")
+    # any() stops at the first valid proof; see the module docstring
+    if t == 1 and not any(
+        verify_proof(entry.acorn_proof, pk, message, entry.randomness, i, params)
+        for i, (pk, entry) in enumerate(zip(ring.members, sig.per_member))
+    ):
+        return VerifyReport("acorn", "no valid per-member proof")
     if not check_linkability(sig, message, rhash):
         return VerifyReport("linkability", "linkability tag mismatch")
     masters = core_matches(sig, ring)
     if not masters:
         return VerifyReport("core", "core signature matches no ring key")
     if t > 1:
-        pk = ring.members[masters[0]]
+        pk, p, block = ring.members[masters[0]], params.proof_size, sig.threshold_zk_proofs
         # the proofs, in order, must carry ascending x: one pass over the x values
         xs = iter(range(1, MAX_PARTICIPANTS + 1))
         if not all(any(constant_time_eq(block[i * p:(i + 1) * p],

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import gc
 import os
 import stat
 
 import pytest
 
-from chipmunkring import codec, hots, threshold
+from chipmunkring import acorn, codec, hots, ringsig, threshold
 from chipmunkring.cli import main
 
 SEED0 = "00" * 32
@@ -149,6 +150,27 @@ def test_verify_rejects_modified_message(workspace, capsys):
     rc = main(["verify", "--sig", str(sig), "--ring", ring, "--message", str(msg)])
     assert rc == 1
     assert "challenge" in capsys.readouterr().out
+
+
+def test_verify_refuses_an_empty_message(workspace, capsys):
+    # the workspace signature with its challenge and tags recomputed over b""
+    tmp_path, ring, msg, sig = workspace
+    keys = ringsig.Ring(members=[codec.decode_public_key(path.read_bytes())
+                                 for path in (tmp_path / "alice.pk", tmp_path / "bob.pk")])
+    honest = codec.decode_signature(sig.read_bytes())
+    rhash = ringsig.ring_hash(keys)
+    challenge = ringsig.challenge_digest(
+        b"", rhash, ((e.randomness, e.acorn_proof) for e in honest.per_member))
+    tag = acorn.linkability_tag(rhash, b"", challenge)
+    entries = tuple(dataclasses.replace(e, linkability=tag) for e in honest.per_member)
+    crafted = tmp_path / "empty.sig"
+    crafted.write_bytes(codec.encode_signature(
+        dataclasses.replace(honest, challenge=challenge, per_member=entries)))
+    msg.write_bytes(b"")
+    capsys.readouterr()
+    rc = main(["verify", "--sig", str(crafted), "--ring", ring, "--message", str(msg)])
+    assert rc == 2
+    assert capsys.readouterr().out == "reject: structural (empty message)\n"
 
 
 def test_verify_truncated_signature(workspace):

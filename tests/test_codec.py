@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import re
 import struct
 
 import numpy as np
@@ -37,9 +36,15 @@ from chipmunkring.errors import (
     TruncatedDataError,
 )
 from chipmunkring.hots import ChipmunkSignature, PrivateKey
-from chipmunkring.params import N, Q, RingParams, preset
+from chipmunkring.params import MAX_PARTICIPANTS, N, Q, RingParams, preset
 from chipmunkring.polyring import Polynomial
-from chipmunkring.ringsig import MemberEntry, Ring, RingSignature, ring_sign
+from chipmunkring.ringsig import (
+    MemberEntry,
+    Ring,
+    RingSignature,
+    check_structure,
+    ring_sign,
+)
 from chipmunkring.threshold import KeyShare, PartialSignature
 from polyref import zero
 
@@ -417,8 +422,7 @@ def test_mode_byte_names_one_parameter_set_both_ways(key_pool):
 @pytest.mark.parametrize("change, message", [
     ({"per_member": (MemberEntry(bytes(32), bytes(64), bytes(32)),)},
      r"ring_size 1 out of range \[2, 64\]"),
-    ({"threshold_zk_proofs": b"\x00" * 64},
-     "single-signer signature carries a threshold block"),
+    ({"threshold_zk_proofs": b"\x00" * 64}, "threshold block is 64 bytes, expected 0"),
 ])
 def test_encode_signature_rejects_inconsistent_fields(change, message):
     sig = dataclasses.replace(synthetic_signature(4), **change)
@@ -449,13 +453,19 @@ def shifted_challenge(sig):
         sig, required_signers=70, threshold_zk_proofs=bytes(70 * 64)),
         "required_signers 70 out of range [1, 64]", id="t=70"),
     pytest.param(encode_signature, lambda sig, pk: shifted_challenge(sig),
-                 "challenge must be 32 bytes, got 31", id="31-byte challenge"),
+                 "challenge length mismatch", id="31-byte challenge"),
     pytest.param(encode_signature, lambda sig, pk: with_record(sig, 2, randomness=bytes(31)),
-                 "member record fields must be 32, 64 and 32 bytes", id="randomness"),
+                 "randomness length mismatch at member 2", id="randomness"),
     pytest.param(encode_signature, lambda sig, pk: with_record(sig, 2, acorn_proof=bytes(96)),
-                 "member record fields must be 32, 64 and 32 bytes", id="proof"),
+                 "proof length mismatch at member 2", id="proof"),
     pytest.param(encode_signature, lambda sig, pk: with_record(sig, 3, linkability=bytes(33)),
-                 "member record fields must be 32, 64 and 32 bytes", id="linkability"),
+                 "linkability tag length mismatch at member 3", id="linkability"),
+    pytest.param(encode_signature, lambda sig, pk: dataclasses.replace(
+        sig, threshold_zk_proofs=bytes(64)), "threshold block is 64 bytes, expected 0",
+        id="block at t=1"),
+    pytest.param(encode_signature, lambda sig, pk: dataclasses.replace(
+        synthetic_signature(4, t=2, proof_size=96), threshold_zk_proofs=bytes(191)),
+        "threshold block is 191 bytes, expected 192", id="short block at t=2"),
     pytest.param(encode_partial, lambda sig, pk: PartialSignature(
         participant_x=1, sigma_share=sig.chipmunk_sig.sigma, acorn_proof=bytes(64)),
         "proof length 64 inconsistent with mode 2", id="partial proof"),
@@ -478,5 +488,12 @@ def shifted_challenge(sig):
 ])
 def test_encoders_refuse_what_decoders_refuse(key_pool, encode, make, message):
     obj = make(synthetic_signature(4), key_pool[0][1])
-    with pytest.raises(FieldError, match=re.escape(message)):
+    with pytest.raises(FieldError) as refused:
         encode(obj)
+    assert str(refused.value) == message
+    if encode is encode_signature and len(obj.per_member) == 4 \
+            and 1 <= obj.required_signers <= MAX_PARTICIPANTS:
+        # the counts are in range, so the fault is in a field's length: the
+        # verifier's structural stage names it in the same words
+        ring = Ring(members=tuple(pk for _, pk in key_pool[:4]))
+        assert check_structure(obj, ring, MODE_PARAMS[signature_mode(obj)]) == message

@@ -94,6 +94,25 @@ def test_sign_requires_nonempty_message(key_pool, single_params):
         ring_sign(key_pool[0][0], 0, b"", ring, ENTROPY, single_params)
 
 
+def test_verify_refuses_an_empty_message(key_pool, single_params):
+    # a t = 1 signature whose challenge, tags and core signature all cover b"":
+    # a chain needs a nonempty message, so the structural stage refuses it
+    from chipmunkring import acorn, hots
+
+    ring = make_ring(key_pool, 2)
+    sig = ring_sign(key_pool[0][0], 0, MSG, ring, ENTROPY, single_params)
+    rhash = ring_hash(ring)
+    challenge = ringsig.challenge_digest(
+        b"", rhash, ((e.randomness, e.acorn_proof) for e in sig.per_member))
+    tag = acorn.linkability_tag(rhash, b"", challenge)
+    entries = tuple(dataclasses.replace(e, linkability=tag) for e in sig.per_member)
+    crafted = codec.decode_signature(codec.encode_signature(dataclasses.replace(
+        sig, challenge=challenge, per_member=entries,
+        chipmunk_sig=hots.sign(key_pool[0][0], challenge))))
+    report = ringsig.verify_signature_report(crafted, b"", ring, single_params)
+    assert report == ringsig.VerifyReport("structural", "empty message")
+
+
 @pytest.mark.parametrize("entropy", [b"", ENTROPY[:31], ENTROPY + b"\x00"])
 def test_sign_requires_32_bytes_of_entropy(key_pool, single_params, entropy):
     ring = make_ring(key_pool, 2)

@@ -454,7 +454,8 @@ def test_verify_rejects_truncated_block(key_pool, multi_params):
     sig, ring = workflow(key_pool, multi_params, 2, 4, 4)
     forged = dataclasses.replace(sig, threshold_zk_proofs=sig.threshold_zk_proofs[:-1])
     report = threshold_verify_report(forged, MSG, ring, multi_params)
-    assert not report.ok and report.reason == "threshold_size"
+    assert report == VerifyReport("structural",
+                                  "threshold block is 191 bytes, expected 192")
 
 
 def test_verify_rejects_zeroed_embedded_proof(key_pool, multi_params):

@@ -51,8 +51,8 @@ def reference_verify_report(sig, message, ring, params):
     if sig.required_signers != 1:
         return VerifyReport("structural", "required_signers != 1")
     problem = ringsig.check_structure(sig, ring, params)
-    if not problem and sig.threshold_zk_proofs != b"":
-        problem = "unexpected threshold block"
+    if not problem and not message:
+        problem = "empty message"
     if problem:
         return VerifyReport("structural", problem)
     rhash = ring_hash(ring)
@@ -132,7 +132,7 @@ def test_early_stop_matches_full_scan(key_pool, single_params, k):
         honest = ring_sign(key_pool[pos][0], pos, MSG, ring, ENTROPY, single_params)
         reasons.append(assert_same(honest, MSG, ring, single_params).reason)
 
-    # the tamper suite: message, ring key, ring order
+    # the tamper suite: message (also empty), ring key, ring order
     for _ in range(10):
         bad = bytearray(MSG)
         bad[rng.randrange(len(bad))] ^= rng.randrange(1, 256)
@@ -147,6 +147,7 @@ def test_early_stop_matches_full_scan(key_pool, single_params, k):
             continue
         other = Ring(members=(mutated,) + ring.members[1:])
         reasons.append(assert_same(sig, MSG, other, single_params).reason)
+    reasons.append(assert_same(sig, b"", ring, single_params).reason)
     swapped = Ring(members=ring.members[::-1])
     reasons.append(assert_same(sig, MSG, swapped, single_params).reason)
     larger = make_ring(key_pool, k + 1)
@@ -238,9 +239,6 @@ def reference_threshold_report(sig, message, ring, params):
         return VerifyReport("challenge", "challenge mismatch")
     t, p = sig.required_signers, params.proof_size
     block = sig.threshold_zk_proofs
-    if len(block) != t * p:
-        return VerifyReport("threshold_size",
-                            f"threshold block is {len(block)} bytes, expected {t * p}")
     tag = acorn.linkability_tag(rhash, message, sig.challenge)
     if any(entry.linkability != tag for entry in sig.per_member):
         return VerifyReport("linkability", "linkability tag mismatch")
@@ -333,8 +331,8 @@ def test_threshold_verifier_matches_full_scan(key_pool, multi_params, t, n, xs):
     forged = dataclasses.replace(sig, threshold_zk_proofs=swapped)
     reasons.append(assert_same_threshold(forged, MSG, ring, multi_params))
 
-    assert {"ok", "structural", "challenge", "threshold_size", "linkability",
-            "core", "threshold_acorn"} <= set(reasons)
+    assert {"ok", "structural", "challenge", "linkability", "core",
+            "threshold_acorn"} <= set(reasons)
 
 
 def test_two_faults_report_the_earlier_stage(key_pool, single_params, multi_params):
@@ -351,8 +349,8 @@ def test_two_faults_report_the_earlier_stage(key_pool, single_params, multi_para
     short = sig.threshold_zk_proofs[:-p]
     bad_tag = with_entry(sig, 1, linkability=flipped(sig.per_member[1].linkability))
     cases = [
-        (dataclasses.replace(bad_challenge, threshold_zk_proofs=short), "challenge"),
-        (dataclasses.replace(bad_tag, threshold_zk_proofs=short), "threshold_size"),
+        (dataclasses.replace(bad_challenge, threshold_zk_proofs=short), "structural"),
+        (dataclasses.replace(bad_tag, threshold_zk_proofs=short), "structural"),
         (dataclasses.replace(bad_tag, chipmunk_sig=foreign_sigma(sig)), "linkability"),
         (dataclasses.replace(sig, chipmunk_sig=foreign_sigma(sig),
                              threshold_zk_proofs=flipped(sig.threshold_zk_proofs)),
