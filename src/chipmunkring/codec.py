@@ -28,18 +28,16 @@ decode(encode(x)) == x for every object kind, and every encoder raises
 FieldError where its decoder would refuse the bytes: a count or a field
 length out of range, a signature's through ringsig.signature_shape.
 
-A public key carries its canonical bytes: keygen and the key constructor
-compute them once, decode_public_key keeps the bytes it read (with the
-mode byte set to 1, the only mode encode_public_key writes), and
-encode_public_key returns them. Key equality and hashing go by these bytes.
-
-decode_public_key holds the one cache of per-key verification work: an LRU
-of the 256 most recently decoded keys (four rings of 64), keyed on the
-input bytes. A verifier fed ring after ring with the same decoy keys
-decodes each key once, and the PublicKey it gets back keeps its root
-values (PublicKey.root_values: the three ints A(psi), v0(psi), v1(psi))
-once the first core check has computed them. Keys embedded in private keys and
-shares are decoded through the same cache.
+A public key is its canonical bytes (hots.PublicKey.encoded): keygen packs
+them with public_key_bytes, decode_public_key keeps the bytes it read
+(re-headered to mode 1, the only mode encode_public_key writes), and
+encode_public_key returns them. The PublicKey constructor refuses through
+check_public_key what decode_public_key refuses, with the same error, so
+its rho_seed, v0 and v1 are plain reads of valid bytes (PUBLIC_KEY_SEED,
+public_key_rows). decode_public_key holds the one cache of per-key
+verification work (_decode_public_key); keys embedded in private keys and
+shares go through it too. decode_private_key refuses a key file whose
+public key is not the one its rho_seed, s0 and s1 produce.
 """
 
 import struct
@@ -74,6 +72,7 @@ MODE_PARAMS = {MODE_SINGLE: RingParams.SINGLE, MODE_MULTI: RingParams.MULTI}
 
 POLYNOMIAL_BYTES = N * 22 // 8  # 1408
 HEADER_BYTES = 8
+PUBLIC_KEY_SEED = slice(HEADER_BYTES, HEADER_BYTES + 32)  # rho_seed in a key's bytes
 
 _MASK22 = (1 << 22) - 1
 
@@ -94,12 +93,6 @@ class _Reader:
         self.pos += n
         return out
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
     def expect_end(self):
         if self.pos != len(self.data):
             raise FieldError(f"{len(self.data) - self.pos} unexpected trailing bytes")
@@ -114,7 +107,7 @@ def _read_header(r: _Reader, expected_kind: int) -> int:
     magic = r.take(4)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
-    version = r.u16()
+    (version,) = struct.unpack("<H", r.take(2))
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
     kind, mode = struct.unpack("<BB", r.take(2))
@@ -127,51 +120,74 @@ def _read_header(r: _Reader, expected_kind: int) -> int:
     return mode
 
 
-def encode_polynomial(p) -> bytes:
-    """Pack 512 coefficients at 22 bits each: 1408 bytes, bijective."""
+def _pack(c) -> bytes:
+    """Pack coefficients in [0, q) at 22 bits each, 1408 bytes per 512."""
     # 4 coefficients fill exactly 11 bytes (lcm of 22 and 8 is 88 bits); each
     # group is built as two little-endian u64 words (88 of 128 bits used)
-    c = p.coeffs.astype(np.uint64).reshape(-1, 4)
+    c = np.asarray(c).astype(np.uint64).reshape(-1, 4)
     words = np.empty((c.shape[0], 2), dtype="<u8")
     words[:, 0] = c[:, 0] | (c[:, 1] << 22) | (c[:, 2] << 44)
     words[:, 1] = (c[:, 2] >> 20) | (c[:, 3] << 2)
     return words.view(np.uint8).reshape(-1, 16)[:, :11].tobytes()
 
 
-def decode_polynomial(data: bytes):
-    """Unpack 1408 bytes into 512 coefficients.
+def encode_polynomial(p) -> bytes:
+    """Pack 512 coefficients at 22 bits each: 1408 bytes, bijective."""
+    return _pack(p.coeffs)
 
-    Raises FieldError naming the first coefficient that is not below q.
-    """
-    if len(data) != POLYNOMIAL_BYTES:
-        raise TruncatedDataError(
-            f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}"
-        )
+
+def _unpack(data: bytes, offset: int = 0, count: int = 1) -> np.ndarray:
+    """(count, N) int64 array of the 22-bit values packed from data[offset:]."""
     # group g's 88 bits, read as two unaligned u64 words at bytes 11g and 11g + 3
-    lo = np.ndarray((N // 4,), dtype="<u8", buffer=data, strides=(11,))
-    hi = np.ndarray((N // 4,), dtype="<u8", buffer=data, offset=3, strides=(11,))
-    c = np.empty((N // 4, 4), dtype=np.uint64)
+    groups = count * N // 4
+    lo = np.ndarray((groups,), dtype="<u8", buffer=data, offset=offset, strides=(11,))
+    hi = np.ndarray((groups,), dtype="<u8", buffer=data, offset=offset + 3, strides=(11,))
+    c = np.empty((groups, 4), dtype=np.uint64)
     c[:, 0] = lo
     c[:, 1] = lo >> 22
     c[:, 2] = hi >> 20  # bits 44..65
     c[:, 3] = hi >> 42  # bits 66..87
-    c = c.reshape(-1)
     c &= _MASK22
+    return c.view(np.int64).reshape(count, N)
+
+
+def _coefficients(data: bytes) -> np.ndarray:
+    """decode_polynomial's unpacking and checks, without building a Polynomial."""
+    if len(data) != POLYNOMIAL_BYTES:
+        raise TruncatedDataError(f"polynomial needs {POLYNOMIAL_BYTES} bytes, got {len(data)}")
+    c = _unpack(data)[0]
     if c.max() >= Q:
         raise FieldError(f"coefficient {int(c[np.argmax(c >= Q)])} out of range [0, {Q})")
-    return Polynomial(coeffs=c)
+    return c
+
+
+def decode_polynomial(data: bytes):
+    """Unpack 1408 bytes into 512 coefficients; FieldError names the first >= q."""
+    return Polynomial(coeffs=_coefficients(data))
 
 
 def public_key_bytes(rho_seed: bytes, v0, v1) -> bytes:
-    """The canonical encoding of a public key's fields (mode byte 1)."""
+    """Canonical bytes (mode 1) of a key's fields; v0, v1: arrays in [0, q)."""
     if len(rho_seed) != 32:
         raise FieldError(f"rho_seed must be 32 bytes, got {len(rho_seed)}")
-    return (
-        pack_header(KIND_PUBLIC_KEY, MODE_SINGLE)
-        + rho_seed
-        + encode_polynomial(v0)
-        + encode_polynomial(v1)
-    )
+    return pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + rho_seed + _pack((v0, v1))
+
+
+def check_public_key(data: bytes) -> None:
+    """decode_public_key's errors, in its order, then FieldError unless mode 1."""
+    r = _Reader(data)
+    mode = _read_header(r, KIND_PUBLIC_KEY)
+    r.take(32)
+    _coefficients(r.take(POLYNOMIAL_BYTES))
+    _coefficients(r.take(POLYNOMIAL_BYTES))
+    r.expect_end()
+    if mode != MODE_SINGLE:
+        raise FieldError(f"a PublicKey holds mode 1 bytes, got {mode}; use decode_public_key")
+
+
+def public_key_rows(encoded: bytes) -> np.ndarray:
+    """v0 and v1 of a PublicKey's checked bytes, as one (2, N) int64 array."""
+    return _unpack(encoded, PUBLIC_KEY_SEED.stop, 2)
 
 
 def encode_public_key(pk) -> bytes:
@@ -186,9 +202,7 @@ def decode_public_key(data):
     or memoryview finds the entry of its bytes, and a later change to the
     caller's buffer cannot reach the cached key.
     """
-    if type(data) is not bytes:
-        data = bytes(memoryview(data))
-    return _decode_public_key(data)
+    return _decode_public_key(data if type(data) is bytes else bytes(memoryview(data)))
 
 
 @lru_cache(maxsize=256)
@@ -201,18 +215,11 @@ def _decode_public_key(data: bytes):
     Only successful decodes are stored; hostile bytes raise the same error
     on every call.
     """
-    r = _Reader(data)
-    mode = _read_header(r, KIND_PUBLIC_KEY)
-    rho_seed = r.take(32)
-    v0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    v1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    r.expect_end()
-    # encode_public_key writes mode 1 whatever the mode byte read; with mode 1
-    # the key keeps the input itself, the object the cache holds as its key
-    encoded = data
-    if mode != MODE_SINGLE:
-        encoded = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + data[HEADER_BYTES:]
-    return hots.PublicKey(rho_seed=rho_seed, v0=v0, v1=v1, decoded_from=encoded)
+    # the header is checked here, before a mode-2 key is re-headered to mode 1;
+    # PublicKey checks the rest. A mode-1 key keeps the input, the cache's key
+    if _read_header(_Reader(data), KIND_PUBLIC_KEY) != MODE_SINGLE:
+        data = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + data[HEADER_BYTES:]
+    return hots.PublicKey(data)
 
 
 def encode_private_key(sk) -> bytes:
@@ -239,6 +246,8 @@ def decode_private_key(data: bytes):
     sk = hots.PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk)
     if tr != sk.tr:
         raise FieldError("tr digest does not match the embedded public key")
+    if hots.keypair_from_secrets(pk.rho_seed, s0, s1)[1] != pk:
+        raise FieldError("embedded public key is not the one the secrets produce")
     return sk
 
 
@@ -291,7 +300,7 @@ def decode_signature(data: bytes):
     entries = tuple(ringsig.MemberEntry(r.take(32), r.take(p), r.take(32))
                     for _ in range(ring_size))
     sigma = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    block_len = r.u32()
+    (block_len,) = struct.unpack("<I", r.take(4))
     expected = 0 if required == 1 else required * p
     if block_len != expected:
         raise FieldError(f"threshold block length {block_len}, expected {expected}")

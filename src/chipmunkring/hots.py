@@ -6,11 +6,6 @@ polynomial sigma = s0*H(M) + s1. Verification checks the forced linear
 identity A*sigma == v0*H(M) + v1 together with a norm bound on sigma
 (without the bound, the identity alone is satisfiable by linear algebra).
 
-A PublicKey carries its canonical wire bytes (`encoded`), computed once when
-the key is built from its fields, or taken from the bytes it was decoded
-from. Equality and hashing go by those bytes; Python caches a bytes
-object's hash, so a key hashes once however often it is looked up.
-
 The check is split in two so that a verifier holding many candidate keys,
 as a ring verifier does, can test the norm once per signature
 (norm_within_bound) and then the identity for all keys at once
@@ -22,11 +17,9 @@ root, so only the keys that pass there can meet it, and only those get the
 full check over all n roots, in one batched transform. The work is k root
 tests plus a full check of the distinct candidates, the same whichever key
 signed.
-A key computes its root values on its first core check and keeps them.
-The one cache of per-key work is codec.decode_public_key's LRU of 256
-decoded keys (four rings of 64), so a verifier that sees the same key
-bytes again gets back the same key, root values included. Keys from
-keygen compute them only if a core check needs them; signing never does.
+A PublicKey is its canonical wire bytes and nothing else, plus its root
+values once its first core check has computed them; codec.decode_public_key
+hands back the same key for the same bytes. Signing never computes them.
 
 A is a single ring element, so whenever NTT(A) has no zero coefficient the
 public key alone gives s0 = A^-1 * v0 and s1 = A^-1 * v1; README "Security
@@ -39,7 +32,7 @@ keys only ever sign 32-byte challenge digests.
 """
 
 import hashlib
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,44 +53,35 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PublicKey:
-    """A core public key; compares and hashes by its canonical bytes.
+    """A core public key: its canonical wire bytes, and nothing else.
 
-    `encoded` is computed from the fields, unless the codec passes
-    decoded_from: the canonical bytes it has just decoded the fields from.
-    decoded_from is not stored under its own name, so dataclasses.replace
-    re-encodes from the new fields.
+    The constructor refuses, with codec.decode_public_key's error, any bytes
+    that decoder refuses, and mode-2 bytes, which only the decoder
+    re-headers. rho_seed, v0 and v1 are read from the bytes on each access.
     """
 
-    rho_seed: bytes
-    v0: Polynomial
-    v1: Polynomial
-    decoded_from: InitVar[bytes | None] = None
+    encoded: bytes
 
-    def __post_init__(self, decoded_from):
-        encoded = decoded_from
-        if encoded is None:
-            encoded = codec.public_key_bytes(self.rho_seed, self.v0, self.v1)
-        object.__setattr__(self, "encoded", encoded)
+    def __post_init__(self):
+        if type(self.encoded) is not bytes:
+            raise TypeError("a PublicKey holds bytes; decode_public_key takes any bytes-like")
+        codec.check_public_key(self.encoded)
 
-    def __eq__(self, other):
-        if not isinstance(other, PublicKey):
-            return NotImplemented
-        return self.encoded == other.encoded
+    def __reduce__(self):  # pickles and copies leave root_values behind
+        return PublicKey, (self.encoded,)
 
-    def __hash__(self):
-        return hash(self.encoded)
-
-    def __reduce__(self):
-        return PublicKey, (self.rho_seed, self.v0, self.v1, self.encoded)
+    rho_seed = property(lambda self: self.encoded[codec.PUBLIC_KEY_SEED])
+    v0 = property(lambda self: Polynomial(coeffs=codec.public_key_rows(self.encoded)[0]))
+    v1 = property(lambda self: Polynomial(coeffs=codec.public_key_rows(self.encoded)[1]))
 
     @cached_property
     def root_values(self) -> tuple:
         """(A(psi), v0(psi), v1(psi)) as ints in [0, q): the values at
         transform index 0, computed on first use for this key alone."""
         return tuple(eval_at_psi((expand_matrix(self.rho_seed).coeffs,
-                                  self.v0.coeffs, self.v1.coeffs)).tolist())
+                                  *codec.public_key_rows(self.encoded))).tolist())
 
 
 @dataclass(frozen=True)
@@ -123,8 +107,8 @@ def keypair_from_secrets(rho_seed: bytes, s0: Polynomial, s1: Polynomial,
     if len(rho_seed) != 32:
         raise ValueError("rho_seed must be 32 bytes")
     f = ntt_forward((expand_matrix(rho_seed).coeffs, s0.coeffs, s1.coeffs))
-    v0, v1 = ntt_inverse(f[0] * f[1:] % Q)  # A*s0 and A*s1 in one inverse
-    pk = PublicKey(rho_seed=rho_seed, v0=Polynomial(coeffs=v0), v1=Polynomial(coeffs=v1))
+    # A*s0 and A*s1 in one inverse transform
+    pk = PublicKey(codec.public_key_bytes(rho_seed, *ntt_inverse(f[0] * f[1:] % Q)))
     return PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk), pk
 
 
@@ -181,15 +165,13 @@ def identity_holds(pks, message: bytes, sig: ChipmunkSignature) -> np.ndarray:
     held = _meets(at[:, 0], at[:, 1], at[:, 2], s_psi, h_psi)
     candidates = np.flatnonzero(held).tolist()
     if candidates:
-        distinct = {pks[j].encoded: pks[j] for j in candidates}  # equal bytes: one key
-        rows = [sigma, h]
-        for pk in distinct.values():
-            rows += (expand_matrix(pk.rho_seed).coeffs, pk.v0.coeffs, pk.v1.coeffs)
-        f = ntt_forward(rows)
+        distinct = dict.fromkeys(pks[j] for j in candidates)  # equal bytes: one key
+        f = ntt_forward([sigma, h] + [row for pk in distinct for row in (
+            expand_matrix(pk.rho_seed).coeffs, *codec.public_key_rows(pk.encoded))])
         keys = f[2:].reshape(-1, 3, N)
         met = dict(zip(distinct, _meets(keys[:, 0], keys[:, 1], keys[:, 2],
                                         f[0], f[1]).all(axis=1).tolist()))
-        held[candidates] = [met[pks[j].encoded] for j in candidates]
+        held[candidates] = [met[pks[j]] for j in candidates]
     return held
 
 

@@ -96,12 +96,15 @@ def lagrange_at_zero(points) -> tuple:
 def share_scalar(secret, rand_coeffs, xs, q: int = Q):
     """Evaluate f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) mod q at each x.
 
-    Inputs are ints or int64 arrays of one shape S, reduced mod q here; the
-    result has shape S + (len(xs),). The sum is one float64 product of the
-    coefficients with the table of x^(k+1) mod q, plus the secret: with K
-    coefficients every value stays below K (q - 1)^2 + q, which must be
-    below 2^53 for float64 to hold it exactly, or ValueError is raised.
-    Dealing at t <= 64 has K <= 63, so its sums stay below 2^50.
+    Inputs are ints or int64 arrays of one shape S, () or (m,), reduced mod
+    q here; the result has shape S + (len(xs),). The sum is a float64
+    product of the coefficients with the table of x^(k+1) mod q, plus the
+    secret: with K coefficients every value stays below K (q - 1)^2 + q,
+    which must be below 2^53 for float64 to hold it exactly, or ValueError
+    is raised. Dealing at t <= 64 has K <= 63, so its sums stay below 2^50.
+    The product runs in row blocks of under 2^19 multiply-adds, which
+    OpenBLAS keeps on one thread; as one (1024, 63) @ (63, 64) product,
+    64-of-64 dealing took twice as long with the other core busy.
     """
     count = len(rand_coeffs)
     if count * (q - 1) ** 2 + q >= 1 << 53:
@@ -113,7 +116,12 @@ def share_scalar(secret, rand_coeffs, xs, q: int = Q):
         p = p * x % q
         row[...] = p
     rand = np.moveaxis(np.asarray(rand_coeffs, dtype=np.int64) % q, 0, -1)
-    acc = rand.astype(np.float64) @ powers
+    rows = np.atleast_2d(rand).astype(np.float64)
+    acc = np.empty((len(rows),) + x.shape)
+    step = max(1, ((1 << 19) - 1) // max(1, count * x.size))
+    for i in range(0, len(rows), step):
+        np.matmul(rows[i:i + step], powers, out=acc[i:i + step])
+    acc = acc.reshape(rand.shape[:-1] + x.shape)
     acc += np.expand_dims(np.asarray(secret, dtype=np.int64) % q, -1)
     out = acc.astype(np.int64)
     out %= q

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from chipmunkring import threshold
+from chipmunkring import hots, threshold
 from chipmunkring.codec import (
     HEADER_BYTES,
     MODE_MULTI,
@@ -199,6 +199,17 @@ def test_private_key_tr_is_checked(key_pool):
         decode_private_key(bytes(data))
 
 
+def test_private_key_must_hold_the_key_its_secrets_produce(key_pool):
+    alice, bob = key_pool[0][0], key_pool[1][1]
+    blob = encode_private_key(dataclasses.replace(alice, pk=bob))  # tr follows pk
+    with pytest.raises(FieldError) as refused:
+        decode_private_key(blob)
+    assert str(refused.value) == "embedded public key is not the one the secrets produce"
+    # the key is rebuilt from the rho_seed it carries: any rho_seed is sound
+    other = hots.keypair_from_secrets(bytes(32), alice.s0, alice.s1)[0]
+    assert decode_private_key(encode_private_key(other)) == other
+
+
 def test_signature_roundtrip_single():
     for k in (2, 4, 64):
         sig = synthetic_signature(k)
@@ -354,20 +365,20 @@ def test_decoder_size_bound_messages(key_pool, multi_params, kind, fmt, values, 
 
 
 def test_roundtrip_bijectivity_1000_per_kind():
-    # synthetic objects: codec contracts do not require algebraic consistency
-    # between fields, only structural validity
-    from chipmunkring.hots import PublicKey
-
+    # synthetic objects: codec contracts require structural validity, and
+    # algebraic consistency only of a private key's embedded public key
     def random_pk():
-        return PublicKey(rho_seed=rng.randbytes(32), v0=random_poly(), v1=random_poly())
+        return hots.PublicKey(public_key_bytes(rng.randbytes(32), random_poly().coeffs,
+                                               random_poly().coeffs))
 
     for _ in range(1000):
         pk = random_pk()
         assert decode_public_key(encode_public_key(pk)) == pk
 
     for _ in range(1000):
-        pk = random_pk()
-        sk = PrivateKey(seed=rng.randbytes(32), s0=random_poly(), s1=random_poly(), pk=pk)
+        sk = dataclasses.replace(hots.keypair_from_secrets(rng.randbytes(32), random_poly(),
+                                                           random_poly())[0],
+                                 seed=rng.randbytes(32))
         assert decode_private_key(encode_private_key(sk)) == sk
 
     for _ in range(1000):

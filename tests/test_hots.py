@@ -162,7 +162,8 @@ def test_tr_is_derived_from_the_public_key(key_pool):
     moved = dataclasses.replace(sk, pk=other)  # replace() rebuilds the key: tr follows pk
     assert moved.tr == hashlib.sha3_384(other.encoded).digest()
     blob = codec.encode_private_key(moved)
-    assert codec.decode_private_key(blob) == moved
+    with pytest.raises(FieldError, match="embedded public key is not the one the secrets"):
+        codec.decode_private_key(blob)  # key 0's secrets beside key 1's public key
     text = repr(moved)
     assert f"tr={moved.tr!r}" in text
     assert not re.search(r"\b(seed|s0|s1)=", text)  # rho_seed= is public

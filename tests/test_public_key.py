@@ -1,19 +1,22 @@
-"""Public keys carry their canonical bytes.
+"""A public key is its canonical bytes.
 
 decode_public_key reads rho_seed, v0 and v1 in wire order and keeps the
 bytes it read as the key's encoding. The reference below reads the same
 fields the same way but rebuilds the encoding from them. On every input
 both must return an equal key or raise the same exception type with the
-same message.
+same message, and the PublicKey constructor must refuse every input they
+refuse, alike.
 
 decode_public_key is memoised on its input bytes (an LRU of 256 keys), and a
-key keeps its root values once computed; the tests at the end pin both.
+key keeps its root values once computed, and nothing else besides its
+bytes; the tests at the end pin these.
 """
 
 import copy
 import dataclasses
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,7 +50,7 @@ def reference_decode_public_key(data):
     v0 = codec.decode_polynomial(r.take(POLYNOMIAL_BYTES))
     v1 = codec.decode_polynomial(r.take(POLYNOMIAL_BYTES))
     r.expect_end()
-    return PublicKey(rho_seed=rho_seed, v0=v0, v1=v1)
+    return PublicKey(codec.public_key_bytes(rho_seed, v0.coeffs, v1.coeffs))
 
 
 def outcome(decode, data):
@@ -65,9 +68,9 @@ def assert_same(data):
         assert got == want
         assert (got.rho_seed, got.v0, got.v1) == (want.rho_seed, want.v0, want.v1)
         assert got.encoded == want.encoded == codec.public_key_bytes(
-            want.rho_seed, want.v0, want.v1)
+            want.rho_seed, want.v0.coeffs, want.v1.coeffs)
     else:
-        assert got == want
+        assert got == want == outcome(PublicKey, data)  # the constructor refuses alike
     return got
 
 
@@ -143,6 +146,8 @@ def test_mode_2_header_decodes_to_the_mode_1_key(key_pool):
     pk = assert_same(with_mode(data, MODE_MULTI))
     assert pk == key_pool[4][1]
     assert encode_public_key(pk) == data
+    with pytest.raises(FieldError, match="holds mode 1 bytes, got 2; use decode_public_key"):
+        PublicKey(with_mode(data, MODE_MULTI))  # only the decoder re-headers
     members = tuple(p for _, p in key_pool[5:8])
     assert ring_hash(Ring(members=members + (pk,))) == \
         ring_hash(Ring(members=members + (decode_public_key(data),)))
@@ -151,8 +156,8 @@ def test_mode_2_header_decodes_to_the_mode_1_key(key_pool):
 def test_keys_compare_and_hash_by_bytes(key_pool, single_params):
     sk, from_keygen = hots.keygen(b"\x5a" * 32, single_params)
     from_bytes = decode_public_key(bytearray(from_keygen.encoded))
-    from_fields = PublicKey(rho_seed=from_keygen.rho_seed, v0=from_keygen.v0,
-                            v1=from_keygen.v1)
+    from_fields = PublicKey(codec.public_key_bytes(
+        from_keygen.rho_seed, from_keygen.v0.coeffs, from_keygen.v1.coeffs))
     keys = [from_keygen, from_bytes, from_fields, sk.pk]
     keys += [pickle.loads(pickle.dumps(k)) for k in keys]
     keys += [copy.deepcopy(k) for k in keys]
@@ -164,12 +169,12 @@ def test_keys_compare_and_hash_by_bytes(key_pool, single_params):
 
     coeffs = from_keygen.v1.coeffs.copy()
     coeffs[100] = (coeffs[100] + 1) % Q
-    changed = PublicKey(rho_seed=from_keygen.rho_seed, v0=from_keygen.v0,
-                        v1=Polynomial(coeffs=coeffs))
+    changed = PublicKey(codec.public_key_bytes(from_keygen.rho_seed,
+                                               from_keygen.v0.coeffs, coeffs))
     assert changed != from_keygen and changed.encoded != from_keygen.encoded
     assert decode_public_key(changed.encoded) == changed
-    # replace() rebuilds the bytes from the new fields
-    assert dataclasses.replace(from_keygen, v1=changed.v1) == changed
+    assert changed.v1 == Polynomial(coeffs=coeffs) and changed.v0 == from_keygen.v0
+    assert dataclasses.replace(from_keygen, encoded=changed.encoded) == changed
     assert from_keygen != key_pool[0][1]
     assert from_keygen != from_keygen.encoded
 
@@ -197,6 +202,8 @@ def test_same_bytes_decode_to_the_same_key(key_pool, empty_memo):
     assert decode_public_key(memoryview(data)) is pk
     assert decode_public_key(memoryview(bytearray(data))) is pk
     assert type(pk.rho_seed) is bytes and type(pk.encoded) is bytes
+    with pytest.raises(TypeError):
+        PublicKey(bytearray(data))  # a key's bytes cannot change under it
     assert empty_memo().currsize == 1 and empty_memo().hits == 4
     # a later change to the caller's buffer does not reach the cached key
     buf = bytearray(key_pool[12][1].encoded)
@@ -269,8 +276,8 @@ def test_root_values_are_computed_once(key_pool, monkeypatch):
 
 def test_root_values_are_not_part_of_the_key(key_pool):
     src = key_pool[18][1]
-    pk = PublicKey(rho_seed=src.rho_seed, v0=src.v0, v1=src.v1)
-    assert [f.name for f in dataclasses.fields(pk)] == ["rho_seed", "v0", "v1"]
+    pk = PublicKey(src.encoded)
+    assert [f.name for f in dataclasses.fields(pk)] == ["encoded"]
     before = (repr(pk), hash(pk), pickle.dumps(pk))
     values = pk.root_values
     assert (repr(pk), hash(pk), pickle.dumps(pk)) == before
@@ -290,3 +297,32 @@ def test_keygen_keys_compute_root_values_only_for_a_core_check(key_pool, single_
     assert "root_values" not in vars(pk)
     assert core_matches(sig, ring) == [0]
     assert "root_values" in vars(pk)
+
+
+def test_a_key_holds_only_its_bytes(key_pool, single_params):
+    _, from_keygen = hots.keygen(b"\x5c" * 32, single_params)
+    for pk in (from_keygen, decode_public_key(key_pool[19][1].encoded)):
+        assert list(vars(pk)) == ["encoded"]
+        pk.rho_seed, pk.v0, pk.v1  # views: read, not kept
+        assert list(vars(pk)) == ["encoded"]
+        pk.root_values
+        assert list(vars(pk)) == ["encoded", "root_values"]
+
+
+def test_a_decoded_key_retains_little_beyond_its_bytes(key_pool, empty_memo):
+    """256 keys with root values, as a full memo holds them, keep at most
+    1 KB each besides their input bytes (two int64 polynomials are 8 KB)."""
+    data = key_pool[20][1].encoded
+    blobs = [with_rho_seed(data, i) for i in range(256)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        keys = [decode_public_key(b) for b in blobs]
+        for pk in keys:
+            pk.root_values
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(pk.encoded is b for pk, b in zip(keys, blobs))
+    assert empty_memo().currsize == 256
+    assert retained <= 1024 * len(keys)
