@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate tests/vectors/golden.json.
 
-Run from the repository root after any intentional format change; the
-determinism acceptance test compares fresh derivations against this file
-byte for byte.
+Run from the repository root after any intentional format change.
+derive() is the one derivation of the vectors outside perfbench/: the
+determinism acceptance test compares its result with this file, field
+by field.
 """
 
 import hashlib
@@ -27,7 +28,8 @@ def digest(data: bytes) -> str:
     return hashlib.sha3_256(data).hexdigest()
 
 
-def main():
+def derive() -> dict:
+    """The golden vectors, as written to tests/vectors/golden.json."""
     single = preset("single")
     multi = preset("multi")
 
@@ -44,7 +46,7 @@ def main():
     tsig = threshold.combine(partials, MESSAGE, ring, 2, multi)
     tsig_bytes = codec.encode_signature(tsig)
 
-    vectors = {
+    return {
         "message": MESSAGE.hex(),
         "sign_entropy": SIGN_ENTROPY.hex(),
         "dealer_entropy": DEALER_ENTROPY.hex(),
@@ -72,6 +74,10 @@ def main():
             "signature_sha3": digest(tsig_bytes),
         },
     }
+
+
+def main():
+    vectors = derive()
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(vectors, indent=1) + "\n")
     print(f"wrote {OUT} ({OUT.stat().st_size} bytes)")

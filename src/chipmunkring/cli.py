@@ -4,7 +4,9 @@ files, and a benchmark harness.
 Exit codes: 0 accept, 1 cryptographic reject, 2 structural/parse/usage
 failure, 3 I/O failure, 4 byzantine share detected. No command
 overwrites a file it writes (exit 3); the secret files of keygen and
-share (.sk, .shareNN) are created with mode 0600.
+share (.sk, .shareNN) are created with mode 0600. A command refuses by
+raising; main is the one place that turns an exception into its stderr
+line and exit code.
 """
 
 import argparse
@@ -16,7 +18,13 @@ import sys
 import time
 
 from . import acorn, codec, hots, ringsig, threshold
-from .errors import ByzantineShareError, ChipmunkRingError, CodecError
+from .errors import (
+    ByzantineShareError,
+    ChipmunkRingError,
+    CodecError,
+    SignerNotInRingError,
+    ThresholdError,
+)
 from .params import preset
 from .ringsig import Ring
 
@@ -82,11 +90,9 @@ def cmd_sign(args) -> int:
     sk = codec.decode_private_key(_read(args.sk))
     ring = _load_ring(args.ring)
     message = _read(args.message)
-    try:
-        signer_index = ring.members.index(sk.pk)
-    except ValueError:
-        print("error: signer's public key is not among the ring keys", file=sys.stderr)
-        return EXIT_STRUCTURAL
+    if sk.pk not in ring.members:
+        raise SignerNotInRingError("signer's public key is not among the ring keys")
+    signer_index = ring.members.index(sk.pk)
     params = preset(args.mode)
     entropy = _seed_bytes(args.seed, "entropy")
     sig = ringsig.ring_sign(sk, signer_index, message, ring, entropy, params)
@@ -127,9 +133,7 @@ def cmd_partial_sign(args) -> int:
     ring = _load_ring(args.ring)
     message = _read(args.message)
     if share.pk not in ring.members:
-        print("error: the share's master public key is not among the ring keys",
-              file=sys.stderr)
-        return EXIT_STRUCTURAL
+        raise ThresholdError("the share's master public key is not among the ring keys")
     params = preset("multi")
     challenge, _ = threshold.threshold_challenge(message, ring, params)
     partial = threshold.partial_sign(share, challenge, params)
@@ -260,14 +264,12 @@ _CSV_TIMINGS = [(op, stat) for op in ("sign", "verify")
 
 def cmd_bench(args) -> int:
     if args.iterations < 10:
-        print("error: --iterations must be at least 10", file=sys.stderr)
-        return EXIT_STRUCTURAL
+        raise ValueError("--iterations must be at least 10")
     ring_sizes = [int(x) for x in args.ring_sizes.split(",") if x]
     modes = [m for m in args.modes.split(",") if m]
     for m in modes:
         if m not in ("single", "threshold"):
-            print(f"error: unknown mode {m!r}", file=sys.stderr)
-            return EXIT_STRUCTURAL
+            raise ValueError(f"unknown mode {m!r}")
     singles = ring_sizes if "single" in modes else []
     configs = []
     if "threshold" in modes:

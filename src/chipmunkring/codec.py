@@ -24,6 +24,9 @@ Object layouts (after the header):
 
 tr is SHA3-384 of the encoded pk, and the ring size is the number of
 member records. Unknown version or kind is rejected, never skipped.
+Each decoder accepts exactly the mode bytes its encoder writes
+(_KIND_MODES), apart from a public key's mode-2 alias, so a decoded object
+re-encodes to the bytes it came from.
 decode(encode(x)) == x for every object kind, and every encoder raises
 FieldError where its decoder would refuse the bytes: a count or a field
 length out of range, a signature's through ringsig.signature_shape.
@@ -36,7 +39,8 @@ check_public_key what decode_public_key refuses, with the same error, so
 its rho_seed, v0 and v1 are plain reads of valid bytes (PUBLIC_KEY_SEED,
 public_key_rows). decode_public_key holds the one cache of per-key
 verification work (_decode_public_key); keys embedded in private keys and
-shares go through it too. decode_private_key refuses a key file whose
+shares go through it too, and are refused unless their bytes are mode 1
+(_embedded_public_key). decode_private_key refuses a key file whose
 public key is not the one its rho_seed, s0 and s1 produce.
 """
 
@@ -64,11 +68,14 @@ KIND_PRIVATE_KEY = 2
 KIND_RING_SIGNATURE = 3
 KIND_KEY_SHARE = 4
 KIND_PARTIAL_SIGNATURE = 5
-_KINDS = (1, 2, 3, 4, 5)
 
 MODE_SINGLE = 1
 MODE_MULTI = 2
 MODE_PARAMS = {MODE_SINGLE: RingParams.SINGLE, MODE_MULTI: RingParams.MULTI}
+# the mode bytes each kind's decoder accepts: those its encoder writes, and
+# a public key's mode 2, which decode_public_key re-headers to mode 1
+_KIND_MODES = {KIND_PUBLIC_KEY: (1, 2), KIND_PRIVATE_KEY: (1,), KIND_RING_SIGNATURE: (1, 2),
+               KIND_KEY_SHARE: (2,), KIND_PARTIAL_SIGNATURE: (2,)}
 
 POLYNOMIAL_BYTES = N * 22 // 8  # 1408
 HEADER_BYTES = 8
@@ -111,12 +118,14 @@ def _read_header(r: _Reader, expected_kind: int) -> int:
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
     kind, mode = struct.unpack("<BB", r.take(2))
-    if kind not in _KINDS:
+    if kind not in _KIND_MODES:
         raise BadKindError(f"unknown object kind {kind}")
     if kind != expected_kind:
         raise BadKindError(f"expected kind {expected_kind}, got {kind}")
     if mode not in MODE_PARAMS:
         raise FieldError(f"unknown params mode {mode}")
+    if mode not in _KIND_MODES[kind]:
+        raise FieldError(f"kind {kind} is never written in mode {mode}")
     return mode
 
 
@@ -222,6 +231,15 @@ def _decode_public_key(data: bytes):
     return hots.PublicKey(data)
 
 
+def _embedded_public_key(data: bytes):
+    """decode_public_key of the key inside a private key or share, which
+    their encoders write in mode 1 only: a mode-2 alias is refused."""
+    pk = decode_public_key(data)
+    if pk.encoded != data:
+        raise FieldError(f"an embedded public key is never written in mode {data[7]}")
+    return pk
+
+
 def encode_private_key(sk) -> bytes:
     if len(sk.seed) != 32:
         raise FieldError(f"seed must be 32 bytes, got {len(sk.seed)}")
@@ -242,7 +260,7 @@ def decode_private_key(data: bytes):
     tr = r.take(48)
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    pk = decode_public_key(r.take(len(r.data) - r.pos))
+    pk = _embedded_public_key(r.take(len(r.data) - r.pos))
     sk = hots.PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk)
     if tr != sk.tr:
         raise FieldError("tr digest does not match the embedded public key")
@@ -340,7 +358,7 @@ def decode_share(data: bytes):
     _check_share_config(x, t, n_participants)
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    pk = decode_public_key(r.take(len(r.data) - r.pos))
+    pk = _embedded_public_key(r.take(len(r.data) - r.pos))
     return threshold.KeyShare(
         participant_x=x,
         s0_share=s0,
@@ -351,15 +369,15 @@ def decode_share(data: bytes):
     )
 
 
-def _check_partial(x: int, proof_len: int, mode: int) -> None:
+def _check_partial(x: int, proof_len: int) -> None:
     if not 1 <= x <= MAX_PARTICIPANTS:
         raise FieldError(f"participant_x {x} out of range [1, {MAX_PARTICIPANTS}]")
-    if proof_len != MODE_PARAMS[mode].proof_size:
-        raise FieldError(f"proof length {proof_len} inconsistent with mode {mode}")
+    if proof_len != MODE_PARAMS[MODE_MULTI].proof_size:
+        raise FieldError(f"proof length {proof_len} inconsistent with mode {MODE_MULTI}")
 
 
 def encode_partial(partial) -> bytes:
-    _check_partial(partial.participant_x, len(partial.acorn_proof), MODE_MULTI)
+    _check_partial(partial.participant_x, len(partial.acorn_proof))
     return (
         pack_header(KIND_PARTIAL_SIGNATURE, MODE_MULTI)
         + struct.pack("<HH", partial.participant_x, len(partial.acorn_proof))
@@ -370,9 +388,9 @@ def encode_partial(partial) -> bytes:
 
 def decode_partial(data: bytes):
     r = _Reader(data)
-    mode = _read_header(r, KIND_PARTIAL_SIGNATURE)
+    _read_header(r, KIND_PARTIAL_SIGNATURE)
     x, proof_len = struct.unpack("<HH", r.take(4))
-    _check_partial(x, proof_len, mode)
+    _check_partial(x, proof_len)
     sigma = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     proof = r.take(proof_len)
     r.expect_end()

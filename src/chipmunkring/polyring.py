@@ -3,17 +3,17 @@
 A Polynomial's coefficients are one read-only int64 numpy array of shape
 (512,), each in [0, q); there is no other representation. The constructor
 copies its input (any integer sequence or array), writing to p.coeffs
-raises ValueError, and equality and hashing go by value, as the memoized
-functions here and key lookups in rings need.
+raises ValueError, and equality and hashing go by value.
 
 Negacyclic multiplication runs through a length-512 NTT. ntt_forward and
 ntt_inverse each take an int64 array of shape (..., 512) with values in
 [0, q) and transform every row at once, so a caller with several
 polynomials stacks them and pays the per-call overhead once; a lone
-polynomial is the (512,) case. Each is a four-step transform (Bailey,
-1990): a row viewed as a 32 x 16 grid goes through one float64 matrix
-product from the left, an elementwise twiddle multiply and one matrix
-product from the right, each step reduced mod q. Values below q keep
+polynomial is the (512,) case. Both run one four-step kernel,
+_four_step (Bailey, 1990): a row viewed as a 32 x 16 grid goes through
+one float64 matrix product from the left, an elementwise twiddle
+multiply and one matrix product from the right (the inverse mirrors
+the order), each step reduced mod q. Values below q keep
 every product below 2^44 and every sum below 2^49 < 2^53, so float64
 holds each intermediate exactly and the result is bit-identical on any
 BLAS. Output i is the row's value at psi^(2 bitrev9(i) + 1). eval_at_psi
@@ -22,13 +22,14 @@ as a single dot product. Sampling and hash-to-polynomial are
 deterministic SHAKE256 expansions; uniform_rows is the one rejection
 sampler of uniform Z_q values, behind both the public element A
 (expand_matrix) and the dealer's sharing polynomials
-(threshold._sharing_matrix). Every function here is pure, so
-unrestricted concurrent use is safe.
+(threshold._sharing_matrix). Nothing here is memoized: ntt_cached is a
+plain ntt_forward of one polynomial, kept only for the traced benchmark's
+lookup by name. Every function here is pure, so unrestricted concurrent
+use is safe.
 """
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -141,6 +142,34 @@ def _reduce(x: np.ndarray, scratch: np.ndarray) -> None:
     x -= scratch
 
 
+def _four_step(a, tables, left_first: bool) -> np.ndarray:
+    """The one kernel behind ntt_forward and ntt_inverse.
+
+    tables is (first, twiddle, last). Each row of a, as a (32, 16) grid,
+    is multiplied by first, by the twiddles elementwise and by last, with
+    a reduction after each step, in float64. first multiplies from the
+    left and last from the right when left_first is set, and the other
+    way round when not. Every product of two values below q is below
+    2^44 and every sum of at most 32 of them below 2^49, so each
+    intermediate is an exactly represented integer: the result is the
+    same on any IEEE-754 BLAS, in any order of summation.
+    """
+    x = np.array(a, dtype=np.float64)
+    out = np.empty(x.shape, dtype=np.int64)
+    w = out.view(np.float64)  # out's memory is the work buffer until the end
+    grid = x.shape[:-1] + (_ROWS, _COLS)
+    xg, wg = x.reshape(grid), w.reshape(grid)
+    first, twiddle, last = tables
+    np.matmul(*((first, xg) if left_first else (xg, first)), out=wg)
+    _reduce(w, x)
+    wg *= twiddle
+    _reduce(w, x)
+    np.matmul(*((wg, last) if left_first else (last, wg)), out=xg)
+    _reduce(x, w)
+    np.copyto(out, x, casting="unsafe")
+    return out
+
+
 def ntt_forward(a) -> np.ndarray:
     """Forward negacyclic NTT of every length-n row of a (..., n) array.
 
@@ -151,26 +180,9 @@ def ntt_forward(a) -> np.ndarray:
 
     Each row, as a (32, 16) grid, is multiplied on the left by a (32, 32)
     table, by a (32, 16) twiddle table elementwise, and on the right by a
-    (16, 16) table, with a reduction after each step, in float64. Every
-    product of two values below q is below 2^44 and every sum of at most
-    32 of them below 2^49, so each intermediate is an exactly represented
-    integer: the result is the same on any IEEE-754 BLAS, in any order
-    of summation.
+    (16, 16) table (_four_step).
     """
-    x = np.array(a, dtype=np.float64)
-    out = np.empty(x.shape, dtype=np.int64)
-    w = out.view(np.float64)  # out's memory is the work buffer until the end
-    grid = x.shape[:-1] + (_ROWS, _COLS)
-    xg, wg = x.reshape(grid), w.reshape(grid)
-    left, twiddle, right = _FORWARD
-    np.matmul(left, xg, out=wg)
-    _reduce(w, x)
-    wg *= twiddle
-    _reduce(w, x)
-    np.matmul(wg, right, out=xg)
-    _reduce(x, w)
-    np.copyto(out, x, casting="unsafe")
-    return out
+    return _four_step(a, _FORWARD, True)
 
 
 def ntt_inverse(a) -> np.ndarray:
@@ -181,20 +193,7 @@ def ntt_inverse(a) -> np.ndarray:
     input is not modified. The steps mirror ntt_forward's, right product
     first, with n^-1 folded into the twiddles; the same bounds hold.
     """
-    x = np.array(a, dtype=np.float64)
-    out = np.empty(x.shape, dtype=np.int64)
-    w = out.view(np.float64)
-    grid = x.shape[:-1] + (_ROWS, _COLS)
-    xg, wg = x.reshape(grid), w.reshape(grid)
-    right, twiddle, left = _INVERSE
-    np.matmul(xg, right, out=wg)
-    _reduce(w, x)
-    wg *= twiddle
-    _reduce(w, x)
-    np.matmul(left, wg, out=xg)
-    _reduce(x, w)
-    np.copyto(out, x, casting="unsafe")
-    return out
+    return _four_step(a, _INVERSE, False)
 
 
 def eval_at_psi(a) -> np.ndarray:
@@ -208,13 +207,14 @@ def eval_at_psi(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64) @ _PSI_POWERS % Q
 
 
-@lru_cache(maxsize=4096)
 def ntt_cached(p: Polynomial) -> np.ndarray:
-    """Memoized ntt_forward of one polynomial: a read-only (n,) int64 array.
+    """ntt_forward of one polynomial, as a read-only (n,) int64 array.
 
-    Verification does not use it: hots.identity_holds tests every ring key
-    at the one root psi (eval_at_psi) and transforms only the keys that
-    pass, together with sigma and H(c), in one ntt_forward call.
+    Nothing in the package calls it, and it is not memoized; it stays
+    only because the traced benchmark looks the name up. Verification
+    tests every ring key at the one root psi (eval_at_psi) and transforms
+    only the keys that pass, together with sigma and H(c), in one
+    ntt_forward call (hots.identity_holds).
     """
     f = ntt_forward(p.coeffs)
     f.flags.writeable = False

@@ -5,6 +5,7 @@ report. Criteria 1 and 2 carry wall-clock budgets (2 and 3 minutes).
 """
 
 import hashlib
+import importlib.util
 import json
 import pathlib
 import random
@@ -16,7 +17,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chipmunkring import acorn, codec, hots, ringsig
+from chipmunkring import acorn, codec, ringsig
 from chipmunkring.cli import _bench_single
 from chipmunkring.errors import ByzantineShareError, CodecError, ThresholdError
 from chipmunkring.hots import ChipmunkSignature
@@ -36,6 +37,7 @@ from chipmunkring.threshold import (
 rng = random.Random(0xACCE97)
 
 VECTORS = pathlib.Path(__file__).parent / "vectors" / "golden.json"
+MAKE_VECTORS = pathlib.Path(__file__).parent.parent / "scripts" / "make_golden_vectors.py"
 
 
 def _report(number, name):
@@ -365,39 +367,10 @@ def test_criterion_7_codec_fuzz(key_pool, multi_params):
 
 # -- 8. determinism vectors --------------------------------------------------
 
-def test_criterion_8_determinism_vectors(single_params, multi_params):
-    vectors = json.loads(VECTORS.read_text())
-    msg = bytes.fromhex(vectors["message"])
-
-    keys = []
-    for entry in vectors["keys"]:
-        sk, pk = hots.keygen(bytes.fromhex(entry["seed"]), single_params)
-        assert codec.encode_public_key(pk).hex() == entry["pk"]
-        assert codec.encode_private_key(sk).hex() == entry["sk"]
-        keys.append((sk, pk))
-
-    ring = Ring(members=tuple(pk for _, pk in keys))
-    sig = ringsig.ring_sign(
-        keys[0][0], 0, msg, ring, bytes.fromhex(vectors["sign_entropy"]), single_params
-    )
-    sig_bytes = codec.encode_signature(sig)
-    assert sig_bytes.hex() == vectors["single_signature"]
-    assert hashlib.sha3_256(sig_bytes).hexdigest() == vectors["single_signature_sha3"]
-
-    tv = vectors["threshold"]
-    shares = deal_shares(
-        keys[0][0], tv["t"], tv["n"], bytes.fromhex(vectors["dealer_entropy"])
-    )
-    challenge, _ = threshold_challenge(msg, ring, multi_params)
-    partials = [
-        partial_sign(shares[x - 1], challenge, multi_params)
-        for x in tv["participants"]
-    ]
-    assert codec.encode_share(shares[0]).hex() == tv["share1"]
-    assert codec.encode_partial(partials[0]).hex() == tv["partial1"]
-    tsig_bytes = codec.encode_signature(
-        combine(partials, msg, ring, tv["t"], multi_params)
-    )
-    assert tsig_bytes.hex() == tv["signature"]
-    assert hashlib.sha3_256(tsig_bytes).hexdigest() == tv["signature_sha3"]
+def test_criterion_8_determinism_vectors():
+    # the script that writes the vectors derives them afresh, every field
+    spec = importlib.util.spec_from_file_location("make_golden_vectors", MAKE_VECTORS)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.derive() == json.loads(VECTORS.read_text())
     _report(8, "golden vectors reproduce bit-exactly")

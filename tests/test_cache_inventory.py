@@ -51,8 +51,7 @@ def readme_bounds():
 def test_every_cache_is_listed_in_the_readme():
     assert cached_functions() == readme_caches()
     assert {name.split(".")[1] for name in cached_functions()} == {
-        "ntt_cached", "_decode_public_key", "share_proof",
-        "threshold_challenge",
+        "_decode_public_key", "share_proof", "threshold_challenge",
     }
 
 
@@ -66,4 +65,4 @@ def test_readme_states_each_cache_bound():
         actual[name] = cached.cache_info().maxsize
     assert stated == actual
     assert stated == {"codec._decode_public_key": 256, "acorn.share_proof": 64,
-                      "threshold.threshold_challenge": 1, "polyring.ntt_cached": 4096}
+                      "threshold.threshold_challenge": 1}

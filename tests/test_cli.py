@@ -1,12 +1,14 @@
+import ast
 import csv
 import dataclasses
 import gc
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
-from chipmunkring import acorn, codec, hots, ringsig, threshold
+from chipmunkring import acorn, cli, codec, hots, ringsig, threshold
 from chipmunkring.cli import main
 
 SEED0 = "00" * 32
@@ -186,12 +188,16 @@ def test_verify_missing_file(workspace):
                  "--message", str(msg)]) == 3
 
 
-def test_sign_signer_not_in_ring(workspace):
+def test_sign_signer_not_in_ring(workspace, capsys):
     tmp_path, ring, msg, sig = workspace
     assert main(["keygen", "--out", str(tmp_path / "carol"), "--seed", SEED2]) == 0
+    capsys.readouterr()
     rc = main(["sign", "--sk", str(tmp_path / "carol.sk"), "--ring", ring,
                "--message", str(msg), "--out", str(tmp_path / "x.sig")])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: signer's public key is not among the ring keys\n")
+    assert not (tmp_path / "x.sig").exists()
 
 
 def test_sign_oversized_ring(tmp_path, key_pool, single_params):
@@ -317,7 +323,8 @@ def test_partial_sign_refuses_a_ring_without_the_master_key(workspace, capsys):
                "--ring", f"{tmp_path}/bob.pk,{tmp_path}/carol.pk",
                "--message", str(msg), "--out", f"{tmp_path}/p1.part"])
     assert rc == 2
-    assert "master public key is not among the ring keys" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: the share's master public key is not among the ring keys\n")
     assert not (tmp_path / "p1.part").exists()
 
 
@@ -386,8 +393,9 @@ def test_bench_never_signs_two_challenges_with_one_key(monkeypatch, capsys):
     assert all(len(challenges) == 1 for challenges in signed.values())
 
 
-def test_bench_iterations_floor():
+def test_bench_iterations_floor(capsys):
     assert main(["bench", "--iterations", "5"]) == 2
+    assert capsys.readouterr().err == "error: --iterations must be at least 10\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -408,3 +416,13 @@ def test_bench_checks_every_size_before_any_keygen(monkeypatch, capsys, argv, me
     assert main(["bench", "--iterations", "10"] + argv) == 2
     assert calls == []
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_only_main_writes_to_stderr():
+    # every refusal raises, and main alone turns it into a message and an exit code
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writers = {top.name if isinstance(top, ast.FunctionDef) else "<module>"
+               for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "stderr"
+               and isinstance(node.value, ast.Name) and node.value.id == "sys"}
+    assert writers == {"main"}

@@ -409,6 +409,39 @@ def test_roundtrip_bijectivity_1000_per_kind():
         assert decode_partial(encode_partial(partial)) == partial
 
 
+def test_every_header_byte_either_fails_or_re_encodes(key_pool, multi_params):
+    # a decoder accepts exactly the header bytes its encoder writes; the one
+    # alias is a standalone public key's mode 2, which re-encodes as mode 1
+    sk, pk = key_pool[0]
+    share = threshold.deal_shares(sk, 2, 3, b"\x24" * 32)[0]
+    partial = threshold.partial_sign(share, b"\x44" * 32, multi_params)
+    key_bytes = len(encode_public_key(pk))
+    cases = [
+        (encode_public_key(pk), decode_public_key, encode_public_key),
+        (encode_private_key(sk), decode_private_key, encode_private_key),
+        (encode_signature(synthetic_signature(2)), decode_signature, encode_signature),
+        (encode_signature(synthetic_signature(3, t=2, proof_size=96)), decode_signature,
+         encode_signature),
+        (encode_share(share), decode_share, encode_share),
+        (encode_partial(partial), decode_partial, encode_partial),
+    ]
+    for blob, decode, encode in cases:
+        positions = list(range(HEADER_BYTES))
+        if decode in (decode_private_key, decode_share):
+            positions.append(len(blob) - key_bytes + 7)  # the embedded key's mode byte
+        for position in positions:
+            for value in range(256):
+                mutated = bytearray(blob)
+                mutated[position] = value
+                try:
+                    decoded = decode(bytes(mutated))
+                except CodecError:
+                    continue
+                alias = decode is decode_public_key and position == 7 and value == MODE_MULTI
+                assert encode(decoded) == (blob if alias else mutated), (
+                    decode.__name__, position, value)
+
+
 def test_signature_mode_follows_proof_length():
     assert signature_mode(synthetic_signature(2)) == MODE_SINGLE
     assert signature_mode(synthetic_signature(2, t=2, proof_size=96)) == MODE_MULTI
