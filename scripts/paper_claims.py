@@ -2,7 +2,7 @@
 
 Usage: python3 scripts/paper_claims.py CSV
 
-CSV is the file `chipmunkring bench --csv CSV` writes; run it with
+CSV is the file `scripts/bench_table.py --csv CSV` writes; run it with
 `--ring-sizes 2,64 --modes single` for the two ring sizes the abstract
 quotes. This script has no timing loop of its own: the timing cells are the
 sign and verify medians of the CSV's single-mode rows at the smallest and

@@ -313,30 +313,32 @@ def sample_secret(seed: bytes, context: bytes) -> Polynomial:
 def hash_to_poly(message: bytes) -> Polynomial:
     """Hash a message to a ternary polynomial with exactly 64 nonzero +-1 terms.
 
-    Each placement attempt consumes three XOF bytes: two for the index
-    (65536 is a multiple of n, so the reduction is unbiased) and one for the
-    sign. Attempts landing on an occupied index are rejected.
+    The XOF stream is read as 3-byte attempts: two little-endian bytes for
+    the index (65536 is a multiple of n, so the reduction is unbiased) and
+    one for the sign. The first 64 distinct indices in stream order are
+    placed with their attempts' signs. The first read is 384 bytes, doubled
+    while it holds fewer than 64 distinct indices (a shorter SHAKE output
+    is a prefix of a longer one).
 
-    Not memoized: a call costs 60-90 us, and a sign or a verify hashes its
-    challenge once.
+    One numpy step decodes a read's indices and a dict keeps each one's
+    first position; np.unique is faster but maps ~0.7 MB more of numpy
+    into each process. Not memoized: a call costs ~30 us, once per sign,
+    verify or partial signature.
     """
     if len(message) == 0:
         raise ValueError("message must be nonempty")
     data = DOMAIN_HASH_TO_POLY + message
     length = 3 * 2 * CHALLENGE_WEIGHT
-    buf = _xof(data, length)
-    coeffs = [0] * N
-    placed = 0
-    pos = 0
-    while placed < CHALLENGE_WEIGHT:
-        if pos + 3 > len(buf):
-            length *= 2
-            buf = _xof(data, length)
-        idx = int.from_bytes(buf[pos:pos + 2], "little") % N
-        sign = buf[pos + 2] & 1
-        pos += 3
-        if coeffs[idx] != 0:
-            continue
-        coeffs[idx] = Q - 1 if sign else 1
-        placed += 1
+    while True:
+        buf = _xof(data, length)
+        # attempt j's index bytes are the little-endian u16 at offset 3j
+        idx = (np.ndarray(length // 3, "<u2", buf, strides=3) % N).tolist()
+        # zip runs backwards, so each index keeps its smallest position
+        first = dict(zip(reversed(idx), range(len(idx) - 1, -1, -1)))
+        if len(first) >= CHALLENGE_WEIGHT:
+            break
+        length *= 2
+    coeffs = np.zeros(N, dtype=np.int64)
+    for j in sorted(first.values())[:CHALLENGE_WEIGHT]:
+        coeffs[idx[j]] = Q - 1 if buf[3 * j + 2] & 1 else 1
     return Polynomial(coeffs=coeffs)

@@ -217,10 +217,13 @@ def combine(partials, message: bytes, ring: Ring, t: int,
     When the combined signature verifies under no ring key, the first
     partial's proof is recomputed under each distinct ring key on this
     challenge. If one key reproduces it, the partials belong to this
-    session and a signature share is corrupt: ByzantineShareError. If none
-    does, the partials were made on another message or ring (or that proof
-    is corrupt): ThresholdError. A partial whose commitment does not match
-    its recomputation under the matching key raises ByzantineShareError.
+    session, and either a signature share is corrupt or t is below the
+    threshold the shares were dealt with: ByzantineShareError, naming
+    both, since a partial does not carry its dealing's t. If no key
+    reproduces it, the partials were made on another message or ring (or
+    that proof is corrupt): ThresholdError. A partial whose commitment
+    does not match its recomputation under the matching key raises
+    ByzantineShareError.
     """
     parts = sorted(partials, key=lambda p: p.participant_x)
     if len(parts) != t:
@@ -243,7 +246,8 @@ def combine(partials, message: bytes, ring: Ring, t: int,
                 f"{first.participant_x}'s proof is corrupt"
             )
         raise ByzantineShareError(
-            "combined signature verifies under no ring key; a share is corrupt"
+            "combined signature verifies under no ring key; a share is corrupt, "
+            f"or the shares were dealt with a threshold above t = {t}"
         )
     master_pk = ring.members[masters[0]]
     for part in parts:

@@ -1,15 +1,17 @@
-"""Reference polynomials, the scalar product and Horner sharing, for
-tests only.
+"""Reference polynomials, the scalar product, Horner sharing and the
+attempt-by-attempt hash-to-polynomial loop, for tests only.
 
 The library never needs them: combine weights every share in one product,
-no code builds a zero or a monomial, and threshold.share_scalar evaluates
-the sharing polynomials as one matrix product. The tests use them to
-state expected values plainly.
+no code builds a zero or a monomial, threshold.share_scalar evaluates
+the sharing polynomials as one matrix product, and polyring.hash_to_poly
+decodes a read's indices in one numpy step. The tests use them to state
+expected values plainly.
 """
 
 import numpy as np
 
-from chipmunkring.params import N, Q
+from chipmunkring import polyring
+from chipmunkring.params import CHALLENGE_WEIGHT, DOMAIN_HASH_TO_POLY, N, Q
 from chipmunkring.polyring import Polynomial
 
 
@@ -48,3 +50,27 @@ def horner_share(secret, rand_coeffs, xs, q: int = Q):
     acc += np.expand_dims(secret, -1)
     acc %= q
     return acc
+
+
+def hash_to_poly(message: bytes) -> Polynomial:
+    """polyring.hash_to_poly one attempt at a time, reading polyring._xof."""
+    if len(message) == 0:
+        raise ValueError("message must be nonempty")
+    data = DOMAIN_HASH_TO_POLY + message
+    length = 3 * 2 * CHALLENGE_WEIGHT
+    buf = polyring._xof(data, length)
+    coeffs = [0] * N
+    placed = 0
+    pos = 0
+    while placed < CHALLENGE_WEIGHT:
+        if pos + 3 > len(buf):
+            length *= 2
+            buf = polyring._xof(data, length)
+        idx = int.from_bytes(buf[pos:pos + 2], "little") % N
+        sign = buf[pos + 2] & 1
+        pos += 3
+        if coeffs[idx] != 0:
+            continue
+        coeffs[idx] = Q - 1 if sign else 1
+        placed += 1
+    return Polynomial(coeffs=coeffs)

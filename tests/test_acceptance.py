@@ -5,7 +5,6 @@ report. Criteria 1 and 2 carry wall-clock budgets (2 and 3 minutes).
 """
 
 import hashlib
-import importlib.util
 import json
 import pathlib
 import random
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from chipmunkring import acorn, codec, ringsig
-from chipmunkring.cli import _bench_single
 from chipmunkring.errors import ByzantineShareError, CodecError, ThresholdError
 from chipmunkring.hots import ChipmunkSignature
 from chipmunkring.params import N, Q, preset
@@ -37,7 +35,6 @@ from chipmunkring.threshold import (
 rng = random.Random(0xACCE97)
 
 VECTORS = pathlib.Path(__file__).parent / "vectors" / "golden.json"
-MAKE_VECTORS = pathlib.Path(__file__).parent.parent / "scripts" / "make_golden_vectors.py"
 
 
 def _report(number, name):
@@ -242,10 +239,11 @@ SIGN_CEILING_MS = {2: 11.14, 4: 16.31, 8: 25.73, 16: 46.71, 32: 95.96, 64: 150.7
 VERIFY_CEILING_MS = {2: 7.06, 4: 4.34, 8: 7.46, 16: 12.41, 32: 35.90, 64: 45.28}
 
 
-def test_criterion_5_performance_envelope():
+def test_criterion_5_performance_envelope(load_script):
+    bench_single = load_script("bench_table")._bench_single
     lines = []
     for k in (2, 4, 8, 16, 32, 64):
-        rec = _bench_single(k, iterations=100, warmup=10)
+        rec = bench_single(k, iterations=100, warmup=10)
         s, v = rec["sign"], rec["verify"]
         lines.append(
             f"  k={k:>2}: sign mean {s['mean']:.2f} median {s['median']:.2f} "
@@ -367,10 +365,7 @@ def test_criterion_7_codec_fuzz(key_pool, multi_params):
 
 # -- 8. determinism vectors --------------------------------------------------
 
-def test_criterion_8_determinism_vectors():
+def test_criterion_8_determinism_vectors(load_script):
     # the script that writes the vectors derives them afresh, every field
-    spec = importlib.util.spec_from_file_location("make_golden_vectors", MAKE_VECTORS)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.derive() == json.loads(VECTORS.read_text())
+    assert load_script("make_golden_vectors").derive() == json.loads(VECTORS.read_text())
     _report(8, "golden vectors reproduce bit-exactly")

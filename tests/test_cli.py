@@ -1,5 +1,4 @@
 import ast
-import csv
 import dataclasses
 import gc
 import os
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from chipmunkring import acorn, cli, codec, hots, ringsig, threshold
+from chipmunkring import acorn, cli, codec, hots, ringsig
 from chipmunkring.cli import main
 
 SEED0 = "00" * 32
@@ -271,6 +270,27 @@ def test_combine_with_corrupted_partial(workspace):
     assert rc == 4
 
 
+def test_combine_below_the_dealt_threshold_names_both_causes(workspace, capsys):
+    # every share is sound, but 2 partials cannot rebuild a 3-of-4 dealing
+    tmp_path, ring, msg, _ = workspace
+    assert main(["share", "--sk", str(tmp_path / "alice.sk"), "--threshold", "3",
+                 "--participants", "4", "--out-prefix", str(tmp_path / "alice"),
+                 "--seed", SEED2]) == 0
+    for x in (1, 2):
+        assert main(["partial-sign", "--share", f"{tmp_path}/alice.share{x:02d}",
+                     "--ring", ring, "--message", str(msg),
+                     "--out", f"{tmp_path}/p{x}.part"]) == 0
+    capsys.readouterr()
+    rc = main(["combine", "--partials", f"{tmp_path}/p1.part,{tmp_path}/p2.part",
+               "--ring", ring, "--message", str(msg), "--threshold", "2",
+               "--out", str(tmp_path / "t.sig")])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "byzantine share detected: combined signature verifies under no ring key; "
+        "a share is corrupt, or the shares were dealt with a threshold above t = 2\n")
+    assert not (tmp_path / "t.sig").exists()
+
+
 # partials made on ring (alice, bob) and message.bin, combined on another
 @pytest.mark.parametrize("ring_names, message", [
     (("bob", "carol"), b"cli test message"),  # another ring, without the master key
@@ -326,96 +346,6 @@ def test_partial_sign_refuses_a_ring_without_the_master_key(workspace, capsys):
     assert capsys.readouterr().err == (
         "error: the share's master public key is not among the ring keys\n")
     assert not (tmp_path / "p1.part").exists()
-
-
-BENCH_CSV_HEADER = [
-    "ring_size", "mode", "threshold", "status", "signature_bytes", "iterations",
-    "sign_mean_ms", "sign_std_ms", "sign_median_ms", "sign_p95_ms",
-    "verify_mean_ms", "verify_std_ms", "verify_median_ms", "verify_p95_ms",
-]
-
-
-def test_bench_minimal(tmp_path, capsys):
-    out_csv = tmp_path / "bench.csv"
-    rc = main(["bench", "--ring-sizes", "2,4", "--modes", "single",
-               "--iterations", "10", "--csv", str(out_csv)])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert ("size fit: bytes = 1456.0 + 128.0 * ring_size "
-            "(R^2 = 1.000000, residual sum of squares = 0.0)") in text
-    assert "parallelism: none" in text
-    with open(out_csv) as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 2  # header + one row per configuration
-    assert rows[0] == BENCH_CSV_HEADER
-    assert all(row[3] == "ok" for row in rows[1:])
-
-
-def test_bench_repeated_ring_size(capsys):
-    rc = main(["bench", "--ring-sizes", "4,4", "--modes", "single",
-               "--iterations", "10"])
-    assert rc == 0
-    assert "size fit" not in capsys.readouterr().out  # one distinct size fits no line
-
-
-@pytest.mark.parametrize("configs", ["2/4", "1/4", "2/4,"])
-def test_bench_threshold_config(tmp_path, capsys, configs):
-    out_csv = tmp_path / "bench.csv"
-    rc = main(["bench", "--ring-sizes", "2", "--modes", "threshold",
-               "--threshold-configs", configs, "--iterations", "10",
-               "--csv", str(out_csv)])
-    assert rc == 0
-    assert "threshold" in capsys.readouterr().out
-    with open(out_csv) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == BENCH_CSV_HEADER
-    assert len(rows) == 2
-    assert rows[1][1:4] == ["threshold", configs[0], "ok"]
-
-
-def test_bench_never_signs_two_challenges_with_one_key(monkeypatch, capsys):
-    # a one-time key (or key share) that signs twice gives its secret away
-    signed = {}
-
-    def recording(fn, key_of):
-        def wrapper(key, challenge, *rest):
-            signed.setdefault(key_of(key), set()).add(challenge)
-            return fn(key, challenge, *rest)
-        return wrapper
-
-    monkeypatch.setattr(hots, "sign", recording(hots.sign, lambda sk: sk.pk))
-    monkeypatch.setattr(threshold, "partial_sign",
-                        recording(threshold.partial_sign,
-                                  lambda share: (share.pk, share.participant_x)))
-    assert main(["bench", "--ring-sizes", "2,4", "--modes", "single,threshold",
-                 "--threshold-configs", "2/4,1/2", "--iterations", "10"]) == 0
-    assert len(signed) == 2 * 13 + (2 + 1) * 13  # 3 warm-up + 10 ops a config
-    assert all(len(challenges) == 1 for challenges in signed.values())
-
-
-def test_bench_iterations_floor(capsys):
-    assert main(["bench", "--iterations", "5"]) == 2
-    assert capsys.readouterr().err == "error: --iterations must be at least 10\n"
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["--ring-sizes", "257", "--modes", "single"], "ring size 257 outside [2, 64]"),
-    (["--ring-sizes", "65", "--modes", "single"], "ring size 65 outside [2, 64]"),
-    (["--ring-sizes", "4,1", "--modes", "single"], "ring size 1 outside [2, 64]"),
-    (["--ring-sizes", "4", "--modes", "single,threshold", "--threshold-configs", "5/4"],
-     "need 1 <= t <= n <= 64, got t=5, n=4"),
-    (["--modes", "threshold", "--threshold-configs", "2/4,1/1"],
-     "ring size 1 outside [2, 64]"),
-    (["--modes", "threshold", "--threshold-configs", "0/4"],
-     "need 1 <= t <= n <= 64, got t=0, n=4"),
-    (["--modes", "single,bogus"], "unknown mode 'bogus'"),
-])
-def test_bench_checks_every_size_before_any_keygen(monkeypatch, capsys, argv, message):
-    calls = []
-    monkeypatch.setattr(hots, "keygen", lambda *a: calls.append(a))
-    assert main(["bench", "--iterations", "10"] + argv) == 2
-    assert calls == []
-    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_only_main_writes_to_stderr():

@@ -108,9 +108,9 @@ def test_every_parameter_is_read():
     # The test fixtures are requested for their side effects.
     assert unread == [
         "hots.keygen(params)",
+        "test_bench_table.test_bench_never_signs_two_challenges_with_one_key(capsys)",
         "test_cli.test_secret_files_are_owner_only(umask_022)",
         "test_cli.test_main_freezes_the_heap_it_starts_with(unfreeze_after)",
-        "test_cli.test_bench_never_signs_two_challenges_with_one_key(capsys)",
         "test_public_key.test_mode_2_header_is_its_own_entry_for_the_same_key(empty_memo)",
         "test_public_key.test_embedded_keys_go_through_the_memo(empty_memo)",
     ]

@@ -19,6 +19,7 @@ from chipmunkring.polyring import (
     ntt_inverse,
     sample_secret,
 )
+import polyref
 from polyref import monomial, scalar_mul, zero
 
 rng = random.Random(0xC41)
@@ -416,3 +417,28 @@ def test_hash_to_poly_doubling_matches_stream(monkeypatch):
                 break
     assert placed == CHALLENGE_WEIGHT
     assert np.array_equal(got, want)
+
+
+def test_hash_to_poly_matches_reference_loop():
+    for i in range(3000):
+        message = random.Random(2000 + i).randbytes(1 + i % 96)
+        assert hash_to_poly(message) == polyref.hash_to_poly(message)
+
+
+# 128 attempts at one index need a second read, 300 a third
+@pytest.mark.parametrize("repeats, reads", [(128, [384, 768]), (300, [384, 768, 1536])])
+def test_hash_to_poly_doubling_matches_reference_loop(monkeypatch, repeats, reads):
+    stream = b"\x05\x00\x01" * repeats + hashlib.shake_256(b"tail").digest(2048)
+    lengths = []
+
+    def crafted_xof(data, length):
+        assert data == DOMAIN_HASH_TO_POLY + b"doubling"
+        lengths.append(length)
+        return stream[:length]
+
+    monkeypatch.setattr(polyring, "_xof", crafted_xof)
+    got = hash_to_poly(b"doubling")
+    assert lengths == reads
+    assert got == polyref.hash_to_poly(b"doubling")
+    assert lengths == reads * 2
+

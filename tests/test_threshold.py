@@ -431,6 +431,20 @@ def test_byzantine_proof_detected(key_pool, multi_params):
         combine([good, evil], MSG, ring, 2, multi_params)
 
 
+def test_combine_below_the_dealt_threshold_names_both_causes(key_pool, multi_params):
+    # two sound partials of a 3-of-5 dealing: partials carry no t, so combine
+    # cannot tell this from a corrupt share and must name both
+    ring = make_ring(key_pool, 4)
+    shares = deal_shares(key_pool[0][0], 3, 5, b"\x72" * 32)
+    challenge, _ = threshold_challenge(MSG, ring, multi_params)
+    partials = [partial_sign(share, challenge, multi_params) for share in shares[:2]]
+    with pytest.raises(ByzantineShareError) as info:
+        combine(partials, MSG, ring, 2, multi_params)
+    assert str(info.value) == (
+        "combined signature verifies under no ring key; a share is corrupt, "
+        "or the shares were dealt with a threshold above t = 2")
+
+
 # partials made on ring (0, 1) and MSG, combined on another ring or message
 @pytest.mark.parametrize("members, message", [
     ((1, 2), MSG),  # another ring, without the master key

@@ -3,8 +3,10 @@
 Every `VerifyReport(...)` call in `ringsig.py` gives its reason as a string
 literal; this test reads them with `ast`. That set, plus "ok", must equal
 the reasons README "Verification" numbers as stages, and the reasons the
-comment on `VerifyReport.reason` lists. Adding, removing or renaming a
-reason means changing both documents.
+comment on `VerifyReport.reason` lists. README "CLI"'s exit-code line must
+list every reason but "structural" for exit 1, since `chipmunkring verify`
+exits 2 on "structural" and 1 on the rest. Adding, removing or renaming a
+reason means changing all three documents.
 """
 
 import ast
@@ -52,9 +54,25 @@ def comment_reasons():
     return {word.strip() for word in comment.split("|")}
 
 
+def exit_1_reasons():
+    """The checks README "CLI"'s exit-code line lists after `1`."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    line = " ".join(section.split("\nExit codes: ", 1)[1].split("\n\n", 1)[0].split())
+    listed = re.search(r"`1` cryptographic reject \(the failed check is printed: ([^)]*)\)",
+                       line)
+    assert listed, f"no exit-1 list in: {line}"
+    assert "`2` structural" in line
+    return {word.strip("` ") for word in re.split(r",| or ", listed.group(1))}
+
+
 def test_readme_numbers_every_reject_reason():
     assert readme_reasons() | {"ok"} == returned_reasons() | {"ok"}
 
 
 def test_reason_comment_lists_every_reason():
     assert comment_reasons() == returned_reasons() | {"ok"}
+
+
+def test_cli_exit_codes_list_every_crypto_reason():
+    assert exit_1_reasons() == returned_reasons() - {"structural", "ok"}
