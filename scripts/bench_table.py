@@ -1,12 +1,13 @@
 """Sign and verify times and signature sizes by ring size, in single mode and
 for threshold configurations; scripts/paper_claims.py reads the --csv file.
-A bad argument exits 2 before any key is made.
+A bad argument, --csv's path too, exits 2 before any key is made.
 
 Usage: PYTHONPATH=src python3 scripts/bench_table.py [--ring-sizes 2,64]
        [--modes single,threshold] [--threshold-configs 2/4,16/32] [--iterations 100] [--csv F]
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import math
@@ -125,8 +126,17 @@ def bench(args) -> None:
     for t, n in configs:
         threshold.check_threshold_config(t, n)
     warmup = max(3, args.iterations // 10)
-    records = [_bench_single(k, args.iterations, warmup) for k in singles]
-    records += [_bench_threshold(t, n, args.iterations, warmup) for t, n in configs]
+    # the CSV file is opened, and so replaced, before the first key is made too
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as out:
+        records = [_bench_single(k, args.iterations, warmup) for k in singles]
+        records += [_bench_threshold(t, n, args.iterations, warmup) for t, n in configs]
+        _print_table(records, args.iterations, warmup)
+        if out:
+            _write_csv(out, records)
+            print(f"wrote {args.csv}")
+
+
+def _print_table(records, iterations: int, warmup: int) -> None:
     header = (f"{'ring':>4} {'mode':>9} {'t':>3} {'bytes':>8} "
               f"{'sign mean':>10} {'std':>7} {'median':>8} {'p95':>8} "
               f"{'vrfy mean':>10} {'std':>7} {'median':>8} {'p95':>8}")
@@ -146,18 +156,18 @@ def bench(args) -> None:
         r2 = statistics.correlation(xs, ys) ** 2
         print(f"size fit: bytes = {intercept:.1f} + {slope:.1f} * ring_size "
               f"(R^2 = {r2:.6f}, residual sum of squares = {ss_res:.1f})")
-    print(f"iterations: {args.iterations} measured after {warmup} warm-up; "
+    print(f"iterations: {iterations} measured after {warmup} warm-up; "
           f"verification parallelism: none (single-threaded)")
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ring_size", "mode", "threshold", "status", "signature_bytes",
-                             "iterations"] + [f"{op}_{stat}_ms" for op, stat in _CSV_TIMINGS])
-            for r in records:
-                writer.writerow([r["ring_size"], r["mode"], r["threshold"], "ok",
-                                 r["signature_bytes"], r["iterations"]]
-                                + [f"{r[op][stat]:.6f}" for op, stat in _CSV_TIMINGS])
-        print(f"wrote {args.csv}")
+
+
+def _write_csv(out, records) -> None:
+    writer = csv.writer(out)
+    writer.writerow(["ring_size", "mode", "threshold", "status", "signature_bytes",
+                     "iterations"] + [f"{op}_{stat}_ms" for op, stat in _CSV_TIMINGS])
+    for r in records:
+        writer.writerow([r["ring_size"], r["mode"], r["threshold"], "ok",
+                         r["signature_bytes"], r["iterations"]]
+                        + [f"{r[op][stat]:.6f}" for op, stat in _CSV_TIMINGS])
 
 
 def main(argv=None) -> int:

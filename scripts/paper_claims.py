@@ -83,7 +83,12 @@ def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 scripts/paper_claims.py CSV", file=sys.stderr)
         return 2
-    rows = table(sizes(), timings(argv[1]))
+    timing = timings(argv[1])  # read first: a CSV that cannot serve fails before signing
+    if not timing:
+        print(f"error: {argv[1]} has no single-mode rows; write it with "
+              "scripts/bench_table.py --modes single", file=sys.stderr)
+        return 2
+    rows = table(sizes(), timing)
     print("| claim in the abstract | paper | this repository |")
     print("|---|---|---|")
     for row in rows:

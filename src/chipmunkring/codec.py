@@ -25,22 +25,24 @@ Object layouts (after the header):
 tr is SHA3-384 of the encoded pk, and the ring size is the number of
 member records. Unknown version or kind is rejected, never skipped.
 Each decoder accepts exactly the mode bytes its encoder writes
-(_KIND_MODES), apart from a public key's mode-2 alias, so a decoded object
-re-encodes to the bytes it came from.
+(_KIND_MODES), so a decoded object re-encodes to the bytes it came from;
+the one alias, a standalone public key's mode byte 2, is a rewrite to 1
+in decode_public_key. Every decoder copies a bytes-like input once into
+bytes (_Reader), so no decoded object shares the caller's buffer.
 decode(encode(x)) == x for every object kind, and every encoder raises
 FieldError where its decoder would refuse the bytes: a count or a field
 length out of range, a signature's through ringsig.signature_shape.
 
 A public key is its canonical bytes (hots.PublicKey.encoded): keygen packs
 them with public_key_bytes, decode_public_key keeps the bytes it read
-(re-headered to mode 1, the only mode encode_public_key writes), and
-encode_public_key returns them. The PublicKey constructor refuses through
-check_public_key what decode_public_key refuses, with the same error, so
-its rho_seed, v0 and v1 are plain reads of valid bytes (PUBLIC_KEY_SEED,
-public_key_rows). decode_public_key holds the one cache of per-key
-verification work (_decode_public_key); keys embedded in private keys and
-shares go through it too, and are refused unless their bytes are mode 1
-(_embedded_public_key). decode_private_key refuses a key file whose
+(mode 1 after the alias rewrite, the only mode encode_public_key
+writes), and encode_public_key returns them. The PublicKey constructor
+refuses through check_public_key what _decode_public_key refuses, with
+the same error, so its rho_seed, v0 and v1 are plain reads of valid bytes
+(PUBLIC_KEY_SEED, public_key_rows). _decode_public_key holds the one
+cache of per-key verification work; keys embedded in private keys and
+shares go through it too, past the alias rewrite, so their mode 2 is
+refused as every kind's is. decode_private_key refuses a key file whose
 public key is not the one its rho_seed, s0 and s1 produce.
 """
 
@@ -72,14 +74,15 @@ KIND_PARTIAL_SIGNATURE = 5
 MODE_SINGLE = 1
 MODE_MULTI = 2
 MODE_PARAMS = {MODE_SINGLE: RingParams.SINGLE, MODE_MULTI: RingParams.MULTI}
-# the mode bytes each kind's decoder accepts: those its encoder writes, and
-# a public key's mode 2, which decode_public_key re-headers to mode 1
-_KIND_MODES = {KIND_PUBLIC_KEY: (1, 2), KIND_PRIVATE_KEY: (1,), KIND_RING_SIGNATURE: (1, 2),
+# the mode bytes each kind's decoder accepts: exactly those its encoder
+# writes (a standalone public key's mode 2 is rewritten to 1 before this)
+_KIND_MODES = {KIND_PUBLIC_KEY: (1,), KIND_PRIVATE_KEY: (1,), KIND_RING_SIGNATURE: (1, 2),
                KIND_KEY_SHARE: (2,), KIND_PARTIAL_SIGNATURE: (2,)}
 
 POLYNOMIAL_BYTES = N * 22 // 8  # 1408
 HEADER_BYTES = 8
 PUBLIC_KEY_SEED = slice(HEADER_BYTES, HEADER_BYTES + 32)  # rho_seed in a key's bytes
+_MODE_1, _MODE_2 = bytes([MODE_SINGLE]), bytes([MODE_MULTI])  # as a header's last byte
 
 _MASK22 = (1 << 22) - 1
 
@@ -87,8 +90,8 @@ _MASK22 = (1 << 22) - 1
 class _Reader:
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
-        self.data = data
+    def __init__(self, data):
+        self.data = data if type(data) is bytes else bytes(memoryview(data))
         self.pos = 0
 
     def take(self, n: int) -> bytes:
@@ -183,15 +186,13 @@ def public_key_bytes(rho_seed: bytes, v0, v1) -> bytes:
 
 
 def check_public_key(data: bytes) -> None:
-    """decode_public_key's errors, in its order, then FieldError unless mode 1."""
+    """_decode_public_key's errors, in its order."""
     r = _Reader(data)
-    mode = _read_header(r, KIND_PUBLIC_KEY)
+    _read_header(r, KIND_PUBLIC_KEY)
     r.take(32)
     _coefficients(r.take(POLYNOMIAL_BYTES))
     _coefficients(r.take(POLYNOMIAL_BYTES))
     r.expect_end()
-    if mode != MODE_SINGLE:
-        raise FieldError(f"a PublicKey holds mode 1 bytes, got {mode}; use decode_public_key")
 
 
 def public_key_rows(encoded: bytes) -> np.ndarray:
@@ -209,9 +210,12 @@ def decode_public_key(data):
 
     The input is turned into bytes before the cache lookup, so a bytearray
     or memoryview finds the entry of its bytes, and a later change to the
-    caller's buffer cannot reach the cached key.
+    caller's buffer cannot reach the cached key. Mode byte 2 is then
+    rewritten to 1, the whole alias, so both spellings are one entry.
     """
-    return _decode_public_key(data if type(data) is bytes else bytes(memoryview(data)))
+    data = data if type(data) is bytes else bytes(memoryview(data))
+    data = data[:7] + _MODE_1 + data[HEADER_BYTES:] if data[7:8] == _MODE_2 else data
+    return _decode_public_key(data)
 
 
 @lru_cache(maxsize=256)
@@ -224,20 +228,7 @@ def _decode_public_key(data: bytes):
     Only successful decodes are stored; hostile bytes raise the same error
     on every call.
     """
-    # the header is checked here, before a mode-2 key is re-headered to mode 1;
-    # PublicKey checks the rest. A mode-1 key keeps the input, the cache's key
-    if _read_header(_Reader(data), KIND_PUBLIC_KEY) != MODE_SINGLE:
-        data = pack_header(KIND_PUBLIC_KEY, MODE_SINGLE) + data[HEADER_BYTES:]
     return hots.PublicKey(data)
-
-
-def _embedded_public_key(data: bytes):
-    """decode_public_key of the key inside a private key or share, which
-    their encoders write in mode 1 only: a mode-2 alias is refused."""
-    pk = decode_public_key(data)
-    if pk.encoded != data:
-        raise FieldError(f"an embedded public key is never written in mode {data[7]}")
-    return pk
 
 
 def encode_private_key(sk) -> bytes:
@@ -260,7 +251,7 @@ def decode_private_key(data: bytes):
     tr = r.take(48)
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    pk = _embedded_public_key(r.take(len(r.data) - r.pos))
+    pk = _decode_public_key(r.take(len(r.data) - r.pos))
     sk = hots.PrivateKey(seed=seed, s0=s0, s1=s1, pk=pk)
     if tr != sk.tr:
         raise FieldError("tr digest does not match the embedded public key")
@@ -358,7 +349,7 @@ def decode_share(data: bytes):
     _check_share_config(x, t, n_participants)
     s0 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
     s1 = decode_polynomial(r.take(POLYNOMIAL_BYTES))
-    pk = _embedded_public_key(r.take(len(r.data) - r.pos))
+    pk = _decode_public_key(r.take(len(r.data) - r.pos))
     return threshold.KeyShare(
         participant_x=x,
         s0_share=s0,

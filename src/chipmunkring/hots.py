@@ -58,8 +58,8 @@ class PublicKey:
     """A core public key: its canonical wire bytes, and nothing else.
 
     The constructor refuses, with codec.decode_public_key's error, any bytes
-    that decoder refuses, and mode-2 bytes, which only the decoder
-    re-headers. rho_seed, v0 and v1 are read from the bytes on each access.
+    that decoder refuses, and mode-2 bytes, which only the decoder rewrites
+    to mode 1. rho_seed, v0 and v1 are read from the bytes on each access.
     """
 
     encoded: bytes

@@ -57,7 +57,8 @@ def test_bench_threshold_config(table, tmp_path, capsys, configs):
     assert rows[1][1:4] == ["threshold", configs[0], "ok"]
 
 
-def test_bench_never_signs_two_challenges_with_one_key(table, monkeypatch, capsys):
+@pytest.mark.usefixtures("capsys")  # keeps the table off the test's output
+def test_bench_never_signs_two_challenges_with_one_key(table, monkeypatch):
     # a one-time key (or key share) that signs twice gives its secret away
     signed = {}
 
@@ -104,3 +105,14 @@ def test_bench_checks_every_size_before_any_keygen(table, monkeypatch, capsys, a
     assert table.main(["--iterations", "10"] + argv) == 2
     assert calls == []
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bench_checks_the_csv_path_before_any_keygen(table, monkeypatch, capsys, tmp_path):
+    calls = []
+    monkeypatch.setattr(hots, "keygen", lambda *a: calls.append(a))
+    missing = tmp_path / "no such directory" / "bench.csv"
+    assert table.main(["--ring-sizes", "2", "--modes", "single", "--iterations", "10",
+                       "--csv", str(missing)]) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: "
+                                       f"'{missing}'\n")

@@ -61,7 +61,8 @@ def contents(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-def test_secret_files_are_owner_only(tmp_path, umask_022):
+@pytest.mark.usefixtures("umask_022")
+def test_secret_files_are_owner_only(tmp_path):
     assert main(["keygen", "--out", str(tmp_path / "k"), "--seed", SEED0]) == 0
     assert main(["share", "--sk", str(tmp_path / "k.sk"), "--threshold", "2",
                  "--participants", "3", "--out-prefix", str(tmp_path / "k"),
@@ -117,7 +118,8 @@ def unfreeze_after():
     gc.unfreeze()
 
 
-def test_main_freezes_the_heap_it_starts_with(workspace, unfreeze_after):
+@pytest.mark.usefixtures("unfreeze_after")
+def test_main_freezes_the_heap_it_starts_with(workspace):
     tmp_path, ring, msg, sig = workspace
     gc.unfreeze()
     rc = main(["verify", "--sig", str(sig), "--ring", ring, "--message", str(msg)])

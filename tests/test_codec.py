@@ -44,6 +44,7 @@ from chipmunkring.ringsig import (
     RingSignature,
     check_structure,
     ring_sign,
+    ring_verify_report,
 )
 from chipmunkring.threshold import KeyShare, PartialSignature
 from polyref import zero
@@ -208,6 +209,19 @@ def test_private_key_must_hold_the_key_its_secrets_produce(key_pool):
     # the key is rebuilt from the rho_seed it carries: any rho_seed is sound
     other = hots.keypair_from_secrets(bytes(32), alice.s0, alice.s1)[0]
     assert decode_private_key(encode_private_key(other)) == other
+
+
+def test_an_embedded_mode_2_key_is_refused_as_every_kind_is(key_pool):
+    # only a standalone public key may spell its mode byte 2
+    sk, pk = key_pool[0]
+    share = threshold.deal_shares(sk, 2, 3, b"\x26" * 32)[0]
+    for blob, decode in ((encode_private_key(sk), decode_private_key),
+                         (encode_share(share), decode_share)):
+        mutated = bytearray(blob)
+        mutated[len(blob) - len(pk.encoded) + HEADER_BYTES - 1] = MODE_MULTI
+        with pytest.raises(FieldError) as refused:
+            decode(bytes(mutated))
+        assert str(refused.value) == "kind 1 is never written in mode 2"
 
 
 def test_signature_roundtrip_single():
@@ -541,3 +555,55 @@ def test_encoders_refuse_what_decoders_refuse(key_pool, encode, make, message):
         # verifier's structural stage names it in the same words
         ring = Ring(members=tuple(pk for _, pk in key_pool[:4]))
         assert check_structure(obj, ring, MODE_PARAMS[signature_mode(obj)]) == message
+
+
+#   Every decoder copies a bytes-like input once: what it returns holds bytes
+#   of its own, whichever buffer the caller passed.
+
+def bytes_fields(obj):
+    """Each bytes field a decoded object holds, by name."""
+    if isinstance(obj, hots.PublicKey):
+        return {"encoded": obj.encoded}
+    if isinstance(obj, PrivateKey):
+        return {"seed": obj.seed, "tr": obj.tr, "pk.encoded": obj.pk.encoded}
+    if isinstance(obj, KeyShare):
+        return {"pk.encoded": obj.pk.encoded}
+    if isinstance(obj, PartialSignature):
+        return {"acorn_proof": obj.acorn_proof}
+    fields = {"challenge": obj.challenge, "block": obj.threshold_zk_proofs}
+    for i, entry in enumerate(obj.per_member):
+        fields.update({f"per_member[{i}].{f.name}": getattr(entry, f.name)
+                       for f in dataclasses.fields(entry)})
+    return fields
+
+
+def test_every_decoder_copies_a_bytes_like_input(key_pool, multi_params):
+    sk, pk = key_pool[0]
+    share = threshold.deal_shares(sk, 2, 3, b"\x25" * 32)[0]
+    partial = threshold.partial_sign(share, b"\x45" * 32, multi_params)
+    cases = [
+        (encode_public_key(pk), decode_public_key),
+        (encode_private_key(sk), decode_private_key),
+        (encode_signature(synthetic_signature(3, t=2, proof_size=96)), decode_signature),
+        (encode_share(share), decode_share),
+        (encode_partial(partial), decode_partial),
+    ]
+    for blob, decode in cases:
+        decoded = [decode(source) for source in
+                   (blob, bytearray(blob), memoryview(bytearray(blob)))]
+        assert decoded[0] == decoded[1] == decoded[2], decode.__name__
+        for obj in decoded:
+            types = {name: type(value) for name, value in bytes_fields(obj).items()}
+            assert types == dict.fromkeys(types, bytes), decode.__name__
+
+
+def test_a_decoded_signature_outlives_the_callers_buffer(key_pool, single_params):
+    ring = Ring(members=tuple(pk for _, pk in key_pool[:4]))
+    blob = encode_signature(ring_sign(key_pool[2][0], 2, b"buffer", ring, b"\x4e" * 32,
+                                      single_params))
+    for source in (bytearray(blob), memoryview(bytearray(blob))):
+        decoded = decode_signature(source)
+        source[12] ^= 1  # the challenge's first byte
+        source[HEADER_BYTES + 36:] = bytes(len(blob) - HEADER_BYTES - 36)
+        assert ring_verify_report(decoded, b"buffer", ring, single_params).ok
+        assert encode_signature(decoded) == blob

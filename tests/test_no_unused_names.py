@@ -10,7 +10,8 @@ only tests need belongs under tests/.
 
 Every parameter of every function, in the package and under tests/, is
 read, so an argument a function ignores cannot linger in its signature.
-The exceptions are fixtures a test requests for their side effects.
+A fixture a test needs only for its side effects goes in
+pytest.mark.usefixtures, not in the test's signature.
 
 No module imports or reaches into another's private name: a decision two
 modules share belongs behind one public name. No function imports a
@@ -104,16 +105,8 @@ def test_every_parameter_is_read():
                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unread += [f"{module}.{node.name}({a.arg})" for a in params
                        if a.arg not in loaded]
-    # perfbench passes params to keygen; it goes with the next benchmark change.
-    # The test fixtures are requested for their side effects.
-    assert unread == [
-        "hots.keygen(params)",
-        "test_bench_table.test_bench_never_signs_two_challenges_with_one_key(capsys)",
-        "test_cli.test_secret_files_are_owner_only(umask_022)",
-        "test_cli.test_main_freezes_the_heap_it_starts_with(unfreeze_after)",
-        "test_public_key.test_mode_2_header_is_its_own_entry_for_the_same_key(empty_memo)",
-        "test_public_key.test_embedded_keys_go_through_the_memo(empty_memo)",
-    ]
+    # perfbench passes params to keygen; it goes with the next benchmark change
+    assert unread == ["hots.keygen(params)"]
 
 
 def test_no_private_attribute_crosses_modules():

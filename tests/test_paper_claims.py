@@ -3,6 +3,8 @@ the timing cells from a `scripts/bench_table.py --csv` file."""
 
 import csv
 
+from chipmunkring import hots
+
 
 def test_paper_claims_table(tmp_path, capsys, load_script):
     path = tmp_path / "bench.csv"
@@ -31,3 +33,17 @@ def test_paper_claims_table(tmp_path, capsys, load_script):
 def test_paper_claims_needs_a_csv(capsys, load_script):
     assert load_script("paper_claims").main(["paper_claims.py"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_paper_claims_needs_single_mode_rows(tmp_path, monkeypatch, capsys, load_script):
+    path = tmp_path / "bench.csv"
+    assert load_script("bench_table").main(["--ring-sizes", "2", "--modes", "threshold",
+                                            "--threshold-configs", "2/2", "--iterations",
+                                            "10", "--csv", str(path)]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(hots, "keygen", lambda *a: calls.append(a))
+    assert load_script("paper_claims").main(["paper_claims.py", str(path)]) == 2
+    assert calls == []  # refused before any signature is made
+    assert capsys.readouterr() == ("", f"error: {path} has no single-mode rows; write it "
+                                       "with scripts/bench_table.py --modes single\n")

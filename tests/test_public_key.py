@@ -1,11 +1,11 @@
 """A public key is its canonical bytes.
 
-decode_public_key reads rho_seed, v0 and v1 in wire order and keeps the
-bytes it read as the key's encoding. The reference below reads the same
-fields the same way but rebuilds the encoding from them. On every input
-both must return an equal key or raise the same exception type with the
-same message, and the PublicKey constructor must refuse every input they
-refuse, alike.
+decode_public_key rewrites a mode byte 2 to 1, reads rho_seed, v0 and v1
+in wire order and keeps the bytes it read as the key's encoding. The
+reference below does the same rewrite and reads the same fields the same
+way, but rebuilds the encoding from them. On every input both must return
+an equal key or raise the same exception type with the same message, and
+the PublicKey constructor must refuse every input they refuse, alike.
 
 decode_public_key is memoised on its input bytes (an LRU of 256 keys), and a
 key keeps its root values once computed, and nothing else besides its
@@ -25,6 +25,7 @@ from chipmunkring.codec import (
     HEADER_BYTES,
     KIND_PUBLIC_KEY,
     MODE_MULTI,
+    MODE_SINGLE,
     POLYNOMIAL_BYTES,
     decode_public_key,
     encode_public_key,
@@ -44,6 +45,9 @@ END = V1 + POLYNOMIAL_BYTES
 
 
 def reference_decode_public_key(data):
+    data = bytes(data)
+    if data[7:8] == bytes([MODE_MULTI]):  # the alias: mode 2 reads as mode 1
+        data = data[:7] + bytes([MODE_SINGLE]) + data[8:]
     r = codec._Reader(data)
     codec._read_header(r, KIND_PUBLIC_KEY)
     rho_seed = r.take(32)
@@ -146,8 +150,8 @@ def test_mode_2_header_decodes_to_the_mode_1_key(key_pool):
     pk = assert_same(with_mode(data, MODE_MULTI))
     assert pk == key_pool[4][1]
     assert encode_public_key(pk) == data
-    with pytest.raises(FieldError, match="holds mode 1 bytes, got 2; use decode_public_key"):
-        PublicKey(with_mode(data, MODE_MULTI))  # only the decoder re-headers
+    with pytest.raises(FieldError, match="kind 1 is never written in mode 2"):
+        PublicKey(with_mode(data, MODE_MULTI))  # only the decoder rewrites mode 2
     members = tuple(p for _, p in key_pool[5:8])
     assert ring_hash(Ring(members=members + (pk,))) == \
         ring_hash(Ring(members=members + (decode_public_key(data),)))
@@ -237,15 +241,17 @@ def test_memo_holds_the_256_most_recent_keys(key_pool, empty_memo):
     assert empty_memo().misses == 258 and empty_memo().currsize == 256
 
 
-def test_mode_2_header_is_its_own_entry_for_the_same_key(key_pool, empty_memo):
+@pytest.mark.usefixtures("empty_memo")
+def test_mode_2_header_shares_the_mode_1_entry(key_pool):
     data = key_pool[15][1].encoded
     multi = decode_public_key(with_mode(data, MODE_MULTI))
     assert decode_public_key(with_mode(data, MODE_MULTI)) is multi
-    assert multi == decode_public_key(data) == key_pool[15][1]
-    assert multi.encoded == data
+    assert decode_public_key(data) is multi
+    assert multi == key_pool[15][1] and multi.encoded == data
 
 
-def test_embedded_keys_go_through_the_memo(key_pool, empty_memo):
+@pytest.mark.usefixtures("empty_memo")
+def test_embedded_keys_go_through_the_memo(key_pool):
     sk, pk = key_pool[16]
     decoded = codec.decode_private_key(codec.encode_private_key(sk))
     assert decoded.pk is decode_public_key(pk.encoded)
